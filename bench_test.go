@@ -66,7 +66,6 @@ func runScheme(b *testing.B, circuitName string, scheme Scheme, threads int) {
 	b.StopTimer()
 	b.ReportMetric(float64(last.Stats.Stages), "stages")
 	b.ReportMetric(float64(last.Stats.Points), "points")
-	b.ReportMetric(float64(last.Stats.CriticalNanos)/1e6, "model-ms")
 }
 
 // Table 1 is regenerated by construction: building every suite circuit.

@@ -153,17 +153,16 @@ type coreScaleRecord struct {
 	IntraWorkers       int     `json:"intra_workers"`
 	PipelineSerialized bool    `json:"pipeline_serialized"`
 	WallNs             int64   `json:"wall_ns"`
-	CriticalNs         int64   `json:"critical_ns"`
 	Speedup            float64 `json:"speedup"`
 }
 
 // figCoreScale sweeps the core budget from 1 to maxCores on one circuit:
 // budget 1 is the serial baseline; larger budgets run the combined WavePipe
 // scheme with 2-4 pipeline workers and hand the remainder to the intra-point
-// gangs. Speedups use the critical-path timing model, so the sweep is
-// meaningful (if noisier) even on hosts with fewer physical cores than the
-// budget — the recorded GOMAXPROCS and pipeline_serialized fields say how
-// much of each point was measured concurrently.
+// gangs. Speedups are measured wall-clock ratios against budget 1, so on a
+// host with fewer cores than the budget they show the oversubscription
+// cost; the recorded GOMAXPROCS and pipeline_serialized fields say what
+// each point actually ran with.
 func figCoreScale(benchName string, maxCores int, jsonOut bool) error {
 	if maxCores <= 0 {
 		maxCores = runtime.NumCPU()
@@ -178,7 +177,7 @@ func figCoreScale(benchName string, maxCores int, jsonOut bool) error {
 	}
 	base := wavepipe.TranOptions{TStop: window(b), Record: []string{b.Probe}}
 	var records []coreScaleRecord
-	var serialCrit int64
+	var serialWall time.Duration
 	for budget := 1; budget <= maxCores; budget++ {
 		opts := base
 		opts.CoreBudget = budget
@@ -194,7 +193,7 @@ func figCoreScale(benchName string, maxCores int, jsonOut bool) error {
 			return err
 		}
 		if budget == 1 {
-			serialCrit = res.Stats.CriticalNanos
+			serialWall = wall
 		}
 		records = append(records, coreScaleRecord{
 			Circuit:            b.Name,
@@ -205,8 +204,7 @@ func figCoreScale(benchName string, maxCores int, jsonOut bool) error {
 			IntraWorkers:       res.Stats.IntraWorkers,
 			PipelineSerialized: res.Stats.PipelineSerialized,
 			WallNs:             wall.Nanoseconds(),
-			CriticalNs:         res.Stats.CriticalNanos,
-			Speedup:            float64(serialCrit) / float64(res.Stats.CriticalNanos),
+			Speedup:            float64(serialWall) / float64(wall),
 		})
 	}
 	if jsonOut {
@@ -215,11 +213,11 @@ func figCoreScale(benchName string, maxCores int, jsonOut bool) error {
 		return enc.Encode(records)
 	}
 	fmt.Printf("Figure F7: speedup vs core budget (%s, GOMAXPROCS=%d)\n", b.Name, runtime.GOMAXPROCS(0))
-	fmt.Println("budget,scheme,pipeline,intra,serialized,wall_ms,crit_ms,speedup")
+	fmt.Println("budget,scheme,pipeline,intra,serialized,wall_ms,speedup")
 	for _, r := range records {
-		fmt.Printf("%d,%s,%d,%d,%v,%.2f,%.2f,%.2f\n",
+		fmt.Printf("%d,%s,%d,%d,%v,%.2f,%.2f\n",
 			r.CoreBudget, r.Scheme, r.PipelineWorkers, r.IntraWorkers, r.PipelineSerialized,
-			float64(r.WallNs)/1e6, float64(r.CriticalNs)/1e6, r.Speedup)
+			float64(r.WallNs)/1e6, r.Speedup)
 	}
 	return nil
 }
@@ -232,9 +230,8 @@ type bypassScaleRecord struct {
 	Threads      int    `json:"threads"`
 	DeviceBypass bool   `json:"device_bypass"`
 	WallNs       int64  `json:"wall_ns"`
-	CriticalNs   int64  `json:"critical_ns"`
-	// Speedup is against the serial bypass-off baseline of the same circuit
-	// (critical-path timing model), so the device-level and pipeline-level
+	// Speedup is the wall-clock ratio against the serial bypass-off
+	// baseline of the same circuit, so the device-level and pipeline-level
 	// gains compose in one column.
 	Speedup         float64 `json:"speedup"`
 	Points          int     `json:"points"`
@@ -268,7 +265,7 @@ func figBypassScale(benchName string, jsonOut bool) error {
 			threads int
 		}
 		cfgs := []cfg{{wavepipe.Serial, 1}, {wavepipe.Combined, 2}, {wavepipe.Combined, 3}, {wavepipe.Combined, 4}}
-		var serialCrit int64
+		var serialWall time.Duration
 		for _, c := range cfgs {
 			for _, bypass := range []bool{false, true} {
 				opts := base
@@ -282,7 +279,7 @@ func figBypassScale(benchName string, jsonOut bool) error {
 					return err
 				}
 				if c.scheme == wavepipe.Serial && !bypass {
-					serialCrit = res.Stats.CriticalNanos
+					serialWall = wall
 				}
 				rec := bypassScaleRecord{
 					Circuit:         b.Name,
@@ -291,8 +288,7 @@ func figBypassScale(benchName string, jsonOut bool) error {
 					Threads:         c.threads,
 					DeviceBypass:    bypass,
 					WallNs:          wall.Nanoseconds(),
-					CriticalNs:      res.Stats.CriticalNanos,
-					Speedup:         float64(serialCrit) / float64(res.Stats.CriticalNanos),
+					Speedup:         float64(serialWall) / float64(wall),
 					Points:          res.Stats.Points,
 					NRIters:         res.Stats.NRIters,
 					BypassedEvals:   res.Stats.BypassedEvals,
@@ -315,14 +311,14 @@ func figBypassScale(benchName string, jsonOut bool) error {
 		return enc.Encode(records)
 	}
 	fmt.Printf("Figure F8: incremental assembly x WavePipe (GOMAXPROCS=%d)\n", runtime.GOMAXPROCS(0))
-	fmt.Println("circuit,scheme,threads,devbypass,wall_ms,crit_ms,speedup,points,nr_iters,linear_hit_rate,bypass_per_iter")
+	fmt.Println("circuit,scheme,threads,devbypass,wall_ms,speedup,points,nr_iters,linear_hit_rate,bypass_per_iter")
 	for _, r := range records {
-		fmt.Printf("%s,%s,%d,%v,%.2f,%.2f,%.2f,%d,%d,%.3f,%.2f\n",
+		fmt.Printf("%s,%s,%d,%v,%.2f,%.2f,%d,%d,%.3f,%.2f\n",
 			r.Circuit, r.Scheme, r.Threads, r.DeviceBypass,
-			float64(r.WallNs)/1e6, float64(r.CriticalNs)/1e6, r.Speedup,
+			float64(r.WallNs)/1e6, r.Speedup,
 			r.Points, r.NRIters, r.LinearHitRate, r.BypassPerIter)
 	}
-	fmt.Println("speedup is vs the serial devbypass=false baseline (critical-path model)")
+	fmt.Println("speedup is the wall-clock ratio vs the serial devbypass=false baseline")
 	return nil
 }
 
@@ -359,12 +355,10 @@ type laneScaleRecord struct {
 	Rounds     int    `json:"rounds"`
 	Points     int    `json:"points"`
 	WallNs     int64  `json:"wall_ns"`
-	CriticalNs int64  `json:"critical_ns"`
-	// SerialNs is the summed critical path of K independent serial runs of
+	// SerialNs is the summed wall clock of K independent serial runs of
 	// the same variants — the workload a corner sweep pays without batching.
 	SerialNs int64 `json:"serial_ns"`
-	// Speedup is SerialNs over the ensemble gang's critical path
-	// (critical-path timing model, as in every other figure).
+	// Speedup is SerialNs over the ensemble's wall clock.
 	Speedup float64 `json:"speedup"`
 }
 
@@ -386,12 +380,11 @@ func laneVariants(b circuits.Benchmark, k int) []*wavepipe.Circuit {
 	return variants
 }
 
-// timedEnsemble is timed for ensemble runs: best critical path over -reps
+// timedEnsemble is timed for ensemble runs: fastest wall clock over -reps
 // with the collector paused, mirroring the serial measurement protocol.
 func timedEnsemble(variants []*wavepipe.Circuit, opts wavepipe.TranOptions) (time.Duration, *wavepipe.EnsembleResult, error) {
 	opts.Observer = benchObserver
 	var best time.Duration
-	var bestCrit int64
 	var res *wavepipe.EnsembleResult
 	for i := 0; i < *reps; i++ {
 		runtime.GC()
@@ -408,9 +401,8 @@ func timedEnsemble(variants []*wavepipe.Circuit, opts wavepipe.TranOptions) (tim
 				return 0, nil, fmt.Errorf("lane %d: %w", li, lr.Err)
 			}
 		}
-		if i == 0 || r.Stats.CriticalNanos < bestCrit {
+		if i == 0 || d < best {
 			best = d
-			bestCrit = r.Stats.CriticalNanos
 			res = r
 		}
 	}
@@ -420,10 +412,9 @@ func timedEnsemble(variants []*wavepipe.Circuit, opts wavepipe.TranOptions) (tim
 // figLaneScale measures batched-ensemble throughput: K corner variants of
 // one circuit run as lockstep lanes versus the same K variants run as
 // independent serial jobs. The baseline is the sum of the serial runs'
-// critical paths; the ensemble cost is the gang's measured critical path
-// (sum over rounds of the slowest worker chunk), so the figure reports how
-// much of the K-fold workload the shared symbolic analysis and
-// struct-of-arrays batching recover.
+// wall clocks and the ensemble cost is its own wall clock, so the figure
+// reports how much of the K-fold workload the shared symbolic analysis,
+// struct-of-arrays batching and the gang's real cores recover.
 func figLaneScale(jsonOut bool) error {
 	var records []laneScaleRecord
 	for _, name := range []string{"ladder400", "grid16"} {
@@ -435,17 +426,17 @@ func figLaneScale(jsonOut bool) error {
 		for _, k := range []int{2, 4, 8} {
 			variants := laneVariants(b, k)
 
-			var serialCrit int64
+			var serialWall time.Duration
 			for _, v := range variants {
 				sys, err := v.Build()
 				if err != nil {
 					return err
 				}
-				_, res, err := timed(sys, base)
+				wall, _, err := timed(sys, base)
 				if err != nil {
 					return err
 				}
-				serialCrit += res.Stats.CriticalNanos
+				serialWall += wall
 			}
 
 			opts := base
@@ -469,9 +460,8 @@ func figLaneScale(jsonOut bool) error {
 				Rounds:     res.Rounds,
 				Points:     points,
 				WallNs:     wall.Nanoseconds(),
-				CriticalNs: res.Stats.CriticalNanos,
-				SerialNs:   serialCrit,
-				Speedup:    float64(serialCrit) / float64(res.Stats.CriticalNanos),
+				SerialNs:   serialWall.Nanoseconds(),
+				Speedup:    float64(serialWall) / float64(wall),
 			})
 		}
 	}
@@ -481,12 +471,11 @@ func figLaneScale(jsonOut bool) error {
 		return enc.Encode(records)
 	}
 	fmt.Printf("Figure F9: ensemble throughput vs lane count (GOMAXPROCS=%d)\n", runtime.GOMAXPROCS(0))
-	fmt.Println("circuit,lanes,workers,rounds,points,wall_ms,crit_ms,serial_ms,speedup")
+	fmt.Println("circuit,lanes,workers,rounds,points,wall_ms,serial_ms,speedup")
 	for _, r := range records {
-		fmt.Printf("%s,%d,%d,%d,%d,%.2f,%.2f,%.2f,%.2f\n",
+		fmt.Printf("%s,%d,%d,%d,%d,%.2f,%.2f,%.2f\n",
 			r.Circuit, r.Lanes, r.Workers, r.Rounds, r.Points,
-			float64(r.WallNs)/1e6, float64(r.CriticalNs)/1e6,
-			float64(r.SerialNs)/1e6, r.Speedup)
+			float64(r.WallNs)/1e6, float64(r.SerialNs)/1e6, r.Speedup)
 	}
 	return nil
 }
@@ -504,7 +493,6 @@ type windowScaleRecord struct {
 	PararealIters   int64   `json:"parareal_iters"`
 	WindowRedos     int64   `json:"window_redos"`
 	WallNs          int64   `json:"wall_ns"`
-	CriticalNs      int64   `json:"critical_ns"`
 	Speedup         float64 `json:"speedup"`
 	RelMaxDev       float64 `json:"rel_max_dev"`
 }
@@ -516,10 +504,10 @@ type windowScaleRecord struct {
 // W = 2/4/8 with serial fine engines — once at the accuracy-first
 // default gate and once at the speed tier (gate 32, "windows-fast"),
 // which accepts coarse seeds within 32 fine error weights and trades a
-// small bounded seam deviation for fewer redos. Speedups use the critical-path
-// timing model (windowed runs model the coarse lane + window schedule),
-// and every record carries the probe's relative deviation from the serial
-// waveform so accuracy rides along with the numbers.
+// small bounded seam deviation for fewer redos. Speedups are measured
+// wall-clock ratios against the serial run, and every record carries the
+// probe's relative deviation from the serial waveform so accuracy rides
+// along with the numbers.
 func figWindowScale(benchName string, maxCores int, jsonOut bool) error {
 	if maxCores <= 0 {
 		maxCores = runtime.NumCPU()
@@ -546,11 +534,10 @@ func figWindowScale(benchName string, maxCores int, jsonOut bool) error {
 			return err
 		}
 		base := wavepipe.TranOptions{TStop: window(b), Record: []string{b.Probe}}
-		wall, ref, err := timed(sys, base)
+		serialWall, ref, err := timed(sys, base)
 		if err != nil {
 			return err
 		}
-		serialCrit := ref.Stats.CriticalNanos
 		add := func(mode string, W int, opts wavepipe.TranOptions) error {
 			wall, res, err := timed(sys, opts)
 			if err != nil {
@@ -572,15 +559,14 @@ func figWindowScale(benchName string, maxCores int, jsonOut bool) error {
 				PararealIters:   res.Stats.PararealIters,
 				WindowRedos:     res.Stats.WindowRedos,
 				WallNs:          wall.Nanoseconds(),
-				CriticalNs:      res.Stats.CriticalNanos,
-				Speedup:         float64(serialCrit) / float64(res.Stats.CriticalNanos),
+				Speedup:         float64(serialWall) / float64(wall),
 				RelMaxDev:       dev.RelMax(),
 			})
 			return nil
 		}
 		records = append(records, windowScaleRecord{
 			Circuit: b.Name, GOMAXPROCS: runtime.GOMAXPROCS(0), Mode: "serial",
-			CoreBudget: 1, WallNs: wall.Nanoseconds(), CriticalNs: serialCrit, Speedup: 1,
+			CoreBudget: 1, WallNs: serialWall.Nanoseconds(), Speedup: 1,
 		})
 		for _, budget := range budgets {
 			if budget < 2 {
@@ -613,11 +599,11 @@ func figWindowScale(benchName string, maxCores int, jsonOut bool) error {
 		return enc.Encode(records)
 	}
 	fmt.Printf("Figure F10: time-parallel windows vs best WavePipe-only (GOMAXPROCS=%d)\n", runtime.GOMAXPROCS(0))
-	fmt.Println("circuit,budget,mode,windows,threads,redos,wall_ms,crit_ms,speedup,rel_max_dev")
+	fmt.Println("circuit,budget,mode,windows,threads,redos,wall_ms,speedup,rel_max_dev")
 	for _, r := range records {
-		fmt.Printf("%s,%d,%s,%d,%d,%d,%.2f,%.2f,%.2f,%.2e\n",
+		fmt.Printf("%s,%d,%s,%d,%d,%d,%.2f,%.2f,%.2e\n",
 			r.Circuit, r.CoreBudget, r.Mode, r.Windows, r.Threads, r.WindowRedos,
-			float64(r.WallNs)/1e6, float64(r.CriticalNs)/1e6, r.Speedup, r.RelMaxDev)
+			float64(r.WallNs)/1e6, r.Speedup, r.RelMaxDev)
 	}
 	return nil
 }
@@ -635,7 +621,6 @@ type reduceScaleRecord struct {
 	NodeReduction  float64 `json:"node_reduction"` // full_nodes / nodes
 	Points         int     `json:"points"`
 	WallNs         int64   `json:"wall_ns"`
-	CriticalNs     int64   `json:"critical_ns"`
 	Speedup        float64 `json:"speedup"` // off wall / this wall (end to end)
 	RelMaxDev      float64 `json:"rel_max_dev"`
 }
@@ -695,8 +680,7 @@ func figReduceScale(benchName string, jsonOut bool) error {
 		records = append(records, reduceScaleRecord{
 			Circuit: b.Name, GOMAXPROCS: runtime.GOMAXPROCS(0), Mode: "off",
 			FullNodes: sys.NumNodes, Nodes: sys.NumNodes, NodeReduction: 1,
-			Points: ref.Stats.Points, WallNs: offWall.Nanoseconds(),
-			CriticalNs: ref.Stats.CriticalNanos, Speedup: 1,
+			Points: ref.Stats.Points, WallNs: offWall.Nanoseconds(), Speedup: 1,
 		})
 		run := func(mode string, tol float64) error {
 			opts := base
@@ -721,7 +705,6 @@ func figReduceScale(benchName string, jsonOut bool) error {
 				NodeReduction:  float64(sys.NumNodes) / float64(post),
 				Points:         res.Stats.Points,
 				WallNs:         wall.Nanoseconds(),
-				CriticalNs:     res.Stats.CriticalNanos,
 				Speedup:        float64(offWall.Nanoseconds()) / float64(wall.Nanoseconds()),
 				RelMaxDev:      dev.RelMax(),
 			})
@@ -740,11 +723,11 @@ func figReduceScale(benchName string, jsonOut bool) error {
 		return enc.Encode(records)
 	}
 	fmt.Printf("Figure F11: parasitic reduction vs ladder size (GOMAXPROCS=%d)\n", runtime.GOMAXPROCS(0))
-	fmt.Println("circuit,mode,tol,full_nodes,nodes,node_reduction,points,wall_ms,crit_ms,speedup,rel_max_dev")
+	fmt.Println("circuit,mode,tol,full_nodes,nodes,node_reduction,points,wall_ms,speedup,rel_max_dev")
 	for _, r := range records {
-		fmt.Printf("%s,%s,%g,%d,%d,%.1f,%d,%.2f,%.2f,%.2f,%.2e\n",
+		fmt.Printf("%s,%s,%g,%d,%d,%.1f,%d,%.2f,%.2f,%.2e\n",
 			r.Circuit, r.Mode, r.Tol, r.FullNodes, r.Nodes, r.NodeReduction, r.Points,
-			float64(r.WallNs)/1e6, float64(r.CriticalNs)/1e6, r.Speedup, r.RelMaxDev)
+			float64(r.WallNs)/1e6, r.Speedup, r.RelMaxDev)
 	}
 	return nil
 }

@@ -166,9 +166,8 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Printf("wavebench: GOMAXPROCS=%d quick=%v reps=%d\n", runtime.GOMAXPROCS(0), *quick, *reps)
-	fmt.Println("speedups use the pipeline critical-path timing model (measured per-solve")
-	fmt.Println("times, max over concurrent workers per stage); wall(ms) is the host's")
-	fmt.Println("actual 1-socket wall clock and matches the model when enough cores exist.")
+	fmt.Println("times are the fastest measured wall clock of reps runs; speedup is the")
+	fmt.Println("ratio of those wall clocks")
 	fmt.Println()
 
 	run := func(name string, f func() error) {
@@ -237,12 +236,10 @@ func timed(sys *circuit.System, opts wavepipe.TranOptions) (time.Duration, *wave
 	opts.Observer = benchObserver
 	opts.Deadline = benchDeadline
 	var best time.Duration
-	var bestCrit int64
 	var res *wavepipe.Result
 	for i := 0; i < *reps; i++ {
-		// GC pauses land inside individual per-solve measurements and bias
-		// the per-stage max() statistic; collect up front and pause the
-		// collector for the timed region.
+		// Collect up front and pause the collector for the timed region so
+		// a GC cycle left over from the previous run is not charged here.
 		runtime.GC()
 		old := debug.SetGCPercent(-1)
 		start := time.Now()
@@ -252,9 +249,8 @@ func timed(sys *circuit.System, opts wavepipe.TranOptions) (time.Duration, *wave
 		if err != nil {
 			return 0, nil, err
 		}
-		if i == 0 || r.Stats.CriticalNanos < bestCrit {
+		if i == 0 || d < best {
 			best = d
-			bestCrit = r.Stats.CriticalNanos
 			res = r
 		}
 	}
@@ -294,24 +290,23 @@ func speedupTable(title string, scheme wavepipe.Scheme, threadCounts []int) erro
 			return err
 		}
 		base := wavepipe.TranOptions{TStop: window(b), Record: []string{b.Probe}}
-		_, serialRes, err := timed(sys, base)
+		serialWall, serialRes, err := timed(sys, base)
 		if err != nil {
 			return err
 		}
-		serialCrit := serialRes.Stats.CriticalNanos
-		row := fmt.Sprintf("%-10s %10.2f %8d", b.Name, nanosMS(serialCrit), serialRes.Stats.Points)
+		row := fmt.Sprintf("%-10s %10.2f %8d", b.Name, ms(serialWall), serialRes.Stats.Points)
 		for i, th := range threadCounts {
 			opts := base
 			opts.Scheme = scheme
 			opts.Threads = th
-			_, res, err := timed(sys, opts)
+			wall, res, err := timed(sys, opts)
 			if err != nil {
 				return err
 			}
-			sp := float64(serialCrit) / float64(res.Stats.CriticalNanos)
+			sp := float64(serialWall) / float64(wall)
 			sums[i].sum += sp
 			sums[i].n++
-			row += fmt.Sprintf(" %11.2f %8.2f %7d", nanosMS(res.Stats.CriticalNanos), sp, res.Stats.Stages)
+			row += fmt.Sprintf(" %11.2f %8.2f %7d", ms(wall), sp, res.Stats.Stages)
 		}
 		fmt.Println(row)
 	}
@@ -322,8 +317,6 @@ func speedupTable(title string, scheme wavepipe.Scheme, threadCounts []int) erro
 	fmt.Println(avg)
 	return nil
 }
-
-func nanosMS(n int64) float64 { return float64(n) / 1e6 }
 
 func table2() error {
 	return speedupTable(
@@ -376,7 +369,7 @@ func figStepSize() error {
 		emit("serial", serial)
 		emit("bwp2", bw)
 		// Summary line for quick reading.
-		fmt.Printf("# %s: serial points=%d, bwp2 stages=%d (critical path), bwp2 points=%d\n",
+		fmt.Printf("# %s: serial points=%d, bwp2 stages=%d (sequential rounds), bwp2 points=%d\n",
 			b.Name, serial.Stats.Points, bw.Stats.Stages, bw.Stats.Points)
 	}
 	return nil
@@ -425,11 +418,10 @@ func figScaling() error {
 		return err
 	}
 	base := wavepipe.TranOptions{TStop: window(b), Record: []string{b.Probe}}
-	_, serialRes, err := timed(sys, base)
+	serialWall, _, err := timed(sys, base)
 	if err != nil {
 		return err
 	}
-	serialCrit := serialRes.Stats.CriticalNanos
 	fmt.Printf("serial,1,1.00\n")
 	type cfg struct {
 		scheme  wavepipe.Scheme
@@ -445,11 +437,11 @@ func figScaling() error {
 			opts := base
 			opts.Scheme = c.scheme
 			opts.Threads = th
-			_, res, err := timed(sys, opts)
+			wall, _, err := timed(sys, opts)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%s,%d,%.2f\n", c.scheme, th, float64(serialCrit)/float64(res.Stats.CriticalNanos))
+			fmt.Printf("%s,%d,%.2f\n", c.scheme, th, float64(serialWall)/float64(wall))
 		}
 	}
 	return nil
@@ -500,21 +492,20 @@ func figFWP() error {
 		}
 		for _, reltol := range []float64{1e-3, 1e-2} {
 			base := wavepipe.TranOptions{TStop: window(b), Record: []string{b.Probe}, RelTol: reltol}
-			_, serialRes, err := timed(sys, base)
+			serialWall, serialRes, err := timed(sys, base)
 			if err != nil {
 				return err
 			}
 			opts := base
 			opts.Scheme = wavepipe.Forward
 			opts.Threads = 2
-			_, res, err := timed(sys, opts)
+			wall, _, err := timed(sys, opts)
 			if err != nil {
 				return err
 			}
 			iters := float64(serialRes.Stats.NRIters) / float64(serialRes.Stats.Solves)
 			fmt.Printf("%-10s %8.0e %12.2f %10.2f %10.2f %10.2f\n", b.Name, reltol, iters,
-				nanosMS(serialRes.Stats.CriticalNanos), nanosMS(res.Stats.CriticalNanos),
-				float64(serialRes.Stats.CriticalNanos)/float64(res.Stats.CriticalNanos))
+				ms(serialWall), ms(wall), float64(serialWall)/float64(wall))
 		}
 	}
 	return nil
@@ -529,22 +520,21 @@ func figAblation() error {
 		return err
 	}
 	base := wavepipe.TranOptions{TStop: window(b), Record: []string{b.Probe}}
-	_, serialRes, err := timed(sys, base)
+	serialWall, _, err := timed(sys, base)
 	if err != nil {
 		return err
 	}
-	serialCrit := serialRes.Stats.CriticalNanos
 	for _, delta := range []float64{0.05, 0.1, 0.2, 0.3, 0.5} {
 		opts := base
 		opts.Scheme = wavepipe.Backward
 		opts.Threads = 2
 		opts.DeltaRatio = delta
-		_, res, err := timed(sys, opts)
+		wall, res, err := timed(sys, opts)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%-8.2f %10.2f %8.2f %10d\n", delta,
-			nanosMS(res.Stats.CriticalNanos), float64(serialCrit)/float64(res.Stats.CriticalNanos), res.Stats.Stages)
+			ms(wall), float64(serialWall)/float64(wall), res.Stats.Stages)
 	}
 
 	fmt.Println("\nAblation A2: growth-cap policy (ladder400, combined 4T)")
@@ -555,17 +545,16 @@ func figAblation() error {
 		return err
 	}
 	lbase := wavepipe.TranOptions{TStop: window(lb), Record: []string{lb.Probe}}
-	_, lref, err := timed(lsys, lbase)
+	lserialWall, lref, err := timed(lsys, lbase)
 	if err != nil {
 		return err
 	}
-	lserialCrit := lref.Stats.CriticalNanos
 	for _, aggressive := range []bool{false, true} {
 		opts := lbase
 		opts.Scheme = wavepipe.Combined
 		opts.Threads = 4
 		opts.AggressiveGrowth = aggressive
-		_, res, err := timed(lsys, opts)
+		wall, res, err := timed(lsys, opts)
 		if err != nil {
 			return err
 		}
@@ -578,7 +567,7 @@ func figAblation() error {
 			name = "per-point"
 		}
 		fmt.Printf("%-12s %10.2f %8.2f %12.5f\n", name,
-			nanosMS(res.Stats.CriticalNanos), float64(lserialCrit)/float64(res.Stats.CriticalNanos), dev.RelMax())
+			ms(wall), float64(lserialWall)/float64(wall), dev.RelMax())
 	}
 	return nil
 }

@@ -23,9 +23,6 @@ func TestUnitHelpers(t *testing.T) {
 	if got := ms(1500 * time.Microsecond); got != 1.5 {
 		t.Fatalf("ms = %g", got)
 	}
-	if got := nanosMS(2_500_000); got != 2.5 {
-		t.Fatalf("nanosMS = %g", got)
-	}
 }
 
 func TestTable1Renders(t *testing.T) {

@@ -624,10 +624,9 @@ func runLanes(ctx context.Context, cfg runConfig, deck *wavepipe.Deck, opts wave
 	}
 	if cfg.stats {
 		fmt.Fprintf(os.Stderr,
-			"wavesim: ensemble %s | lanes=%d workers=%d rounds=%d points=%d nr-iters=%d recoveries=%d crit=%s wall=%s\n",
+			"wavesim: ensemble %s | lanes=%d workers=%d rounds=%d points=%d nr-iters=%d recoveries=%d wall=%s\n",
 			deck.Title, len(res.Lanes), res.Stats.PipelineWorkers, res.Rounds,
 			res.Stats.Points, res.Stats.NRIters, res.Stats.Recoveries,
-			time.Duration(res.Stats.CriticalNanos).Round(time.Microsecond),
 			wall.Round(time.Microsecond))
 		for _, lr := range res.Lanes {
 			if lr.Err == nil {

@@ -115,8 +115,8 @@ func TestCoreBudgetCombinedBitIdentical(t *testing.T) {
 	if par.Stats.IntraWorkers != 2 {
 		t.Fatalf("IntraWorkers = %d, want 2 (budget 8 / 4 pipeline workers)", par.Stats.IntraWorkers)
 	}
-	if !deg.Stats.PipelineSerialized {
-		t.Fatal("1-core run did not report pipeline serialization")
+	if deg.Stats.PipelineSerialized {
+		t.Fatal("budget 8 over 4 pipeline workers reported serialization on a 1-core host")
 	}
 
 	// The per-phase serialization check (satellite of the old Engine.seq
@@ -133,6 +133,25 @@ func TestCoreBudgetCombinedBitIdentical(t *testing.T) {
 	if !narrow.Stats.PipelineSerialized {
 		t.Fatal("budget 2 under 4 pipeline workers must serialize the pipeline")
 	}
+}
+
+// TestPipelineSerializedMeansBudget pins what Stats.PipelineSerialized
+// reports: that the core budget forced the pipeline to run its tasks one
+// after another. A run without a budget never reports it, even when
+// GOMAXPROCS is below Threads, and its stage tasks then time-share the
+// cores with results bit-identical to a run that has the cores.
+func TestPipelineSerializedMeansBudget(t *testing.T) {
+	sys, opts := suiteSystem(t, "grid16")
+	opts.TStop /= 5
+	opts.Scheme = Backward
+	opts.Threads = 2
+	one := budgetRun(t, sys, opts, 0, 1)
+	two := budgetRun(t, sys, opts, 0, 2)
+	if one.Stats.PipelineSerialized || two.Stats.PipelineSerialized {
+		t.Fatalf("unbudgeted runs reported serialization: procs=1 %v, procs=2 %v",
+			one.Stats.PipelineSerialized, two.Stats.PipelineSerialized)
+	}
+	sameWaveform(t, "backward-2T procs=1 vs procs=2", one, two)
 }
 
 // TestCoreBudgetMatchesReference compares a budgeted run against the

@@ -36,9 +36,8 @@ type LaneSpec struct {
 type EnsembleLane = ensemble.LaneResult
 
 // EnsembleResult is the outcome of a batched ensemble run: per-lane
-// results plus aggregate statistics. Stats.CriticalNanos models the gang's
-// critical path — the wall time a machine with Threads free cores would
-// need — while the per-lane Stats sum the usual work counters.
+// results plus aggregate statistics: the per-lane Stats sum the usual work
+// counters, and Rounds counts the gang's lockstep rounds.
 type EnsembleResult = ensemble.Result
 
 // RunEnsemble runs K parameter-variants of one deck in lockstep over a

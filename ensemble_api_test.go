@@ -88,8 +88,8 @@ func TestRunEnsembleMatchesSerial(t *testing.T) {
 	if math.Abs(vNom-vFast) < 1e-3 {
 		t.Fatalf("fast corner did not separate from nominal: %g vs %g", vFast, vNom)
 	}
-	if res.Stats.CriticalNanos <= 0 {
-		t.Fatal("aggregate critical path missing")
+	if res.Rounds <= 0 {
+		t.Fatal("gang rounds not counted")
 	}
 }
 

@@ -35,8 +35,9 @@ import (
 
 // Format versioning.
 const (
-	// Version is the current checkpoint format version.
-	Version = 1
+	// Version is the current checkpoint format version. Version 2 dropped
+	// the modeled critical-path time from the stats block.
+	Version = 2
 )
 
 // magic identifies a WavePipe checkpoint file.
@@ -101,7 +102,6 @@ type Stats struct {
 	FullFactorizations     int64
 	BypassedEvals          int64
 	LinearStampHits        int64
-	CriticalNanos          int64
 	CoreBudget             int64
 	PipelineWorkers        int64
 	IntraWorkers           int64

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -62,7 +63,7 @@ func testState(t *testing.T) *State {
 		LU:    testLU(t),
 		Stats: Stats{
 			Points: 3, Solves: 5, NRIters: 12, LTERejects: 1, Stages: 5,
-			Recoveries: 1, CriticalNanos: 12345, CoreBudget: 4,
+			Recoveries: 1, CoreBudget: 4,
 			PipelineWorkers: 2, IntraWorkers: 2, PipelineSerialized: true,
 		},
 		Recovery: []RecoveryEvent{
@@ -148,10 +149,12 @@ func TestDecodeCorrupted(t *testing.T) {
 	}
 }
 
+// TestDecodeWrongVersion feeds a version-1 header: v1 files carried the
+// since-removed modeled-time stats slot and must be refused, not misread.
 func TestDecodeWrongVersion(t *testing.T) {
 	data := Encode(testState(t))
 	mut := append([]byte(nil), data...)
-	mut[4] = 99
+	binary.LittleEndian.PutUint32(mut[4:8], 1)
 	_, err := Decode(mut)
 	wantBadCheckpoint(t, err, "wrong version")
 	if !strings.Contains(err.Error(), "version") {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"wavepipe/internal/faults"
 	"wavepipe/internal/sched"
@@ -313,14 +312,6 @@ type Workspace struct {
 	// not be declared converged (the linearization is not the true model).
 	Limited bool
 
-	// LoadWallNanos and LoadCritNanos accumulate the measured wall-clock
-	// time of Load calls and the corresponding critical-path time (for the
-	// sharded parallel load the slowest shard plus the reduction). The
-	// difference feeds the multi-core pipeline timing model used when the
-	// host machine has fewer cores than the requested thread count.
-	LoadWallNanos int64
-	LoadCritNanos int64
-
 	// MC holds dQ/dx after LoadSplit (AC analysis); nil until first use.
 	MC *sparse.Matrix
 
@@ -468,12 +459,6 @@ func (ws *Workspace) Load(x []float64, p LoadParams) {
 		// Pool-attached workspace whose coloring is unprofitable: the sharded
 		// clones were never allocated, so assemble serially below.
 	}
-	start := time.Now()
-	defer func() {
-		d := time.Since(start).Nanoseconds()
-		ws.LoadWallNanos += d
-		ws.LoadCritNanos += d
-	}()
 	ws.M.Zero()
 	for i := range ws.F {
 		ws.F[i] = 0
@@ -544,7 +529,6 @@ func (ws *Workspace) LoadSplit(x []float64, p LoadParams) {
 	if ws.MC == nil {
 		ws.MC = ws.M.Clone()
 	}
-	start := time.Now()
 	ws.M.Zero()
 	ws.MC.Zero()
 	for i := range ws.F {
@@ -578,9 +562,6 @@ func (ws *Workspace) LoadSplit(x []float64, p LoadParams) {
 			ws.F[i] += p.NodeGmin * x[i]
 		}
 	}
-	d := time.Since(start).Nanoseconds()
-	ws.LoadWallNanos += d
-	ws.LoadCritNanos += d
 }
 
 // ACSource is implemented by independent sources that carry a small-signal

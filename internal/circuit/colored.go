@@ -3,7 +3,6 @@ package circuit
 import (
 	"runtime"
 	"sync"
-	"time"
 
 	"wavepipe/internal/sparse"
 )
@@ -258,7 +257,6 @@ func (ws *Workspace) loadColored(x []float64, p LoadParams) {
 		ws.loadColoredSerial(x, p)
 		return
 	}
-	start := time.Now()
 	nw := ws.loadWorkers
 	for len(ws.wctx) < nw {
 		ws.wctx = append(ws.wctx, EvalCtx{})
@@ -274,7 +272,7 @@ func (ws *Workspace) loadColored(x []float64, p LoadParams) {
 	}
 	ws.colorWorker(0, nw, x, p)
 	wg.Wait()
-	ws.finishColoredParallel(x, p, nw, start)
+	ws.finishColoredParallel(x, p, nw)
 }
 
 // loadColoredPooled runs the colored assembly on the attached gang pool's
@@ -283,7 +281,6 @@ func (ws *Workspace) loadColored(x []float64, p LoadParams) {
 // on the caller, where the engine's panic fences handle it like any serial
 // device panic.
 func (ws *Workspace) loadColoredPooled(x []float64, p LoadParams) {
-	start := time.Now()
 	pool := ws.pool
 	nw := pool.Workers()
 	for len(ws.wctx) < nw {
@@ -299,41 +296,32 @@ func (ws *Workspace) loadColoredPooled(x []float64, p LoadParams) {
 		}()
 		ws.colorWorker(w, nw, x, p)
 	})
-	ws.finishColoredParallel(x, p, nw, start)
+	ws.finishColoredParallel(x, p, nw)
 }
 
-// finishColoredParallel folds the per-worker limiting flags, applies the
-// coordinator tail and books the timing for a genuinely parallel colored
-// load (wall time is the critical path).
-func (ws *Workspace) finishColoredParallel(x []float64, p LoadParams, nw int, start time.Time) {
+// finishColoredParallel folds the per-worker limiting flags and applies the
+// coordinator tail of a genuinely parallel colored load.
+func (ws *Workspace) finishColoredParallel(x []float64, p LoadParams, nw int) {
 	ws.Limited = false
 	for w := 0; w < nw; w++ {
 		ws.Limited = ws.Limited || ws.wctx[w].Limited
 	}
 	ws.finishColored(x, p)
-	d := time.Since(start).Nanoseconds()
-	ws.LoadWallNanos += d
-	ws.LoadCritNanos += d
 }
 
 // loadColoredSerial evaluates the color classes in class order on the
 // calling goroutine. The accumulation order matches the parallel path
 // exactly (within a class every row has a single writer), so the stamps are
-// bit-identical; the critical-path accounting models what nw workers would
-// have achieved, mirroring how the sharded path reports its shard maximum on
-// under-provisioned hosts.
+// bit-identical.
 func (ws *Workspace) loadColoredSerial(x []float64, p LoadParams) {
-	start := time.Now()
 	classes := ws.Sys.colorClasses
 	devices := ws.Sys.Circuit.devices
-	nw := ws.loadWorkers
 	ws.M.Zero()
 	for i := range ws.F {
 		ws.F[i] = 0
 		ws.Q[i] = 0
 		ws.B[i] = 0
 	}
-	zeroNanos := time.Since(start).Nanoseconds()
 	ctx := &ws.evalCtx
 	*ctx = EvalCtx{
 		X:         x,
@@ -350,22 +338,13 @@ func (ws *Workspace) loadColoredSerial(x []float64, p LoadParams) {
 		Q:         ws.Q,
 		B:         ws.B,
 	}
-	var modeledEval int64
 	for _, class := range classes {
-		cs := time.Now()
 		for _, di := range class {
 			devices[di].Eval(ctx)
 		}
-		cn := time.Since(cs).Nanoseconds()
-		chunks := int64((len(class) + nw - 1) / nw)
-		modeledEval += cn * chunks / int64(len(class))
 	}
 	ws.Limited = ctx.Limited
-	tailStart := time.Now()
 	ws.finishColored(x, p)
-	tail := time.Since(tailStart).Nanoseconds()
-	ws.LoadWallNanos += time.Since(start).Nanoseconds()
-	ws.LoadCritNanos += zeroNanos/int64(nw) + modeledEval + tail
 }
 
 // finishColored applies the coordinator-side tail shared by both colored

@@ -40,7 +40,6 @@ package circuit
 
 import (
 	"math"
-	"time"
 
 	"wavepipe/internal/sparse"
 )
@@ -631,12 +630,6 @@ func (ws *Workspace) loadIncremental(x []float64, p LoadParams) bool {
 	// journal refresh at the converged point).
 	replay := !inc.skipOnce
 	inc.skipOnce = false
-	start := time.Now()
-	defer func() {
-		d := time.Since(start).Nanoseconds()
-		ws.LoadWallNanos += d
-		ws.LoadCritNanos += d
-	}()
 	basis := inc.basis
 	// Linear layer: one memcpy of the blended template replaces re-stamping
 	// every linear device, and the compact split triples rebuild the linear

@@ -2,7 +2,6 @@ package circuit
 
 import (
 	"sync"
-	"time"
 
 	"wavepipe/internal/sparse"
 )
@@ -15,7 +14,6 @@ type shard struct {
 	q       []float64
 	b       []float64
 	limited bool
-	nanos   int64
 }
 
 // LoadWorkers > 1 routes Load through the fine-grained parallel path: the
@@ -43,7 +41,6 @@ func (ws *Workspace) SetLoadWorkers(n int) {
 // loadParallel performs the sharded assembly. Device state slots are
 // disjoint per device, so SNext can be shared across shards.
 func (ws *Workspace) loadParallel(x []float64, p LoadParams) {
-	start := time.Now()
 	ws.M.Zero()
 	for i := range ws.F {
 		ws.F[i] = 0
@@ -63,8 +60,6 @@ func (ws *Workspace) loadParallel(x []float64, p LoadParams) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			shStart := time.Now()
-			defer func() { sh.nanos = time.Since(shStart).Nanoseconds() }()
 			sh.m.Zero()
 			for i := range sh.f {
 				sh.f[i] = 0
@@ -93,13 +88,6 @@ func (ws *Workspace) loadParallel(x []float64, p LoadParams) {
 		}()
 	}
 	wg.Wait()
-	reduceStart := time.Now()
-	var maxShard int64
-	for s := 0; s < nw; s++ {
-		if ws.shards[s].nanos > maxShard {
-			maxShard = ws.shards[s].nanos
-		}
-	}
 	// Reduce.
 	ws.Limited = false
 	for s := 0; s < nw; s++ {
@@ -122,6 +110,4 @@ func (ws *Workspace) loadParallel(x []float64, p LoadParams) {
 	}
 	ws.applyClamps(x, p)
 	ws.injectLoadFault(p)
-	ws.LoadWallNanos += time.Since(start).Nanoseconds()
-	ws.LoadCritNanos += maxShard + time.Since(reduceStart).Nanoseconds()
 }

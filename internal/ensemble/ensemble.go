@@ -22,19 +22,12 @@
 // lockstep with batched assembly. A lane retires — finishes, faults, or
 // exhausts the recovery ladder at the step floor — without stalling the
 // gang: it is simply dropped from the next round's deal.
-//
-// Critical-path accounting follows the repository's hardware-substitution
-// model: the aggregate Stats.CriticalNanos is the sum over rounds of the
-// slowest worker chunk's measured wall time (plus the chunked DC phase and
-// any serial recovery-ladder climbs), i.e. the wall time a machine with
-// Workers free cores would need.
 package ensemble
 
 import (
 	"fmt"
 	"math"
 	"runtime"
-	"time"
 
 	"wavepipe/internal/circuit"
 	"wavepipe/internal/faults"
@@ -87,9 +80,8 @@ type LaneResult struct {
 // Result is the outcome of an ensemble run.
 type Result struct {
 	Lanes []LaneResult
-	// Stats aggregates all lanes' work counters; CriticalNanos holds the
-	// gang's modeled critical path (not the per-lane sum), CoreBudget and
-	// PipelineWorkers the gang width.
+	// Stats aggregates all lanes' work counters; CoreBudget and
+	// PipelineWorkers hold the gang width.
 	Stats transient.Stats
 	// Rounds is the number of gang rounds (every active lane attempts one
 	// candidate point per round).
@@ -148,8 +140,6 @@ type engine struct {
 
 	chunks [][]*laneState // per-worker chunk scratch
 
-	walls      []int64 // per-worker chunk wall times of the current round
-	crit       int64   // accumulated gang critical path
 	roundCount int
 }
 
@@ -216,7 +206,6 @@ func Run(sys *circuit.System, lanes []Lane, opts Options) (*Result, error) {
 		sys: sys, base: base, ctrl: base.Control, tr: opts.Trace,
 		pool: pool, width: pool.Workers(),
 	}
-	e.walls = make([]int64, e.width)
 	e.chWS = make([][]*circuit.Workspace, e.width)
 	e.chXS = make([][][]float64, e.width)
 	e.chPS = make([][]circuit.LoadParams, e.width)
@@ -264,27 +253,21 @@ func Run(sys *circuit.System, lanes []Lane, opts Options) (*Result, error) {
 
 	lr := make([]LaneResult, k)
 	agg := transient.Stats{}
-	rounds := 0
 	for i, st := range e.lanes {
 		lr[i] = LaneResult{Name: st.name, Res: st.res, Err: st.err}
 		if st.res != nil {
 			agg.Add(st.res.Stats)
 		}
 	}
-	// The summed CriticalNanos double-counts nothing here (lockstep
-	// candidates do not accumulate it), but what the caller needs is the
-	// gang's modeled critical path: overwrite with the round-level model.
-	agg.CriticalNanos = e.crit
 	agg.CoreBudget = e.width
 	agg.PipelineWorkers = e.width
 	agg.IntraWorkers = 1
 	res := &Result{Lanes: lr, Stats: agg, Rounds: e.roundCount}
-	_ = rounds
 	return res, err
 }
 
 // runDC computes every lane's t = 0 point, dealt across the gang like a
-// solve round (its slowest chunk joins the critical path).
+// solve round.
 func (e *engine) runDC() {
 	e.dispatch(func(st *laneState) {
 		p0, err := transient.InitialPoint(e.sys, st.ps, e.base)
@@ -306,33 +289,16 @@ func (e *engine) runDC() {
 	}
 }
 
-// dispatch deals every non-retired lane across the gang, runs fn per lane
-// on the owning worker, and folds the slowest worker's wall time into the
-// critical path.
+// dispatch deals every non-retired lane across the gang and runs fn per
+// lane on the owning worker.
 func (e *engine) dispatch(fn func(*laneState)) {
-	for w := range e.walls {
-		e.walls[w] = 0
-	}
 	e.pool.Run(func(w int) {
-		t0 := time.Now()
-		busy := false
 		for i := w; i < len(e.lanes); i += e.width {
 			if st := e.lanes[i]; !st.done {
 				fn(st)
-				busy = true
 			}
 		}
-		if busy {
-			e.walls[w] = time.Since(t0).Nanoseconds()
-		}
 	})
-	max := int64(0)
-	for _, d := range e.walls {
-		if d > max {
-			max = d
-		}
-	}
-	e.crit += max
 }
 
 // canceled reports whether the run-wide context has been canceled.
@@ -431,16 +397,14 @@ func (e *engine) finishRound(st *laneState) {
 			return // re-plan next round with the smaller step
 		}
 		// Step floor: climb the recovery ladder serially — this is the
-		// cold path, and its wall time joins the critical path directly.
+		// cold path.
 		st.h = ctrl.HMin
 		tNew := st.t + st.h
 		hitBp := tNew >= st.tLimit-0.01*st.h
 		if hitBp {
 			tNew = st.tLimit
 		}
-		t0 := time.Now()
 		pt, co, err := ps.RecoverAt(st.hist, tNew, st.rl)
-		e.crit += time.Since(t0).Nanoseconds()
 		if err != nil {
 			e.retire(st, &faults.SimError{
 				Phase: "transient", Time: st.t, Node: -1,
@@ -554,12 +518,8 @@ func (e *engine) retire(st *laneState, err error) {
 }
 
 // dispatchChunks deals the round's planned lanes across the gang (lane i
-// goes to worker i mod width) and advances each worker's chunk in lockstep;
-// the slowest chunk's wall time joins the critical path.
+// goes to worker i mod width) and advances each worker's chunk in lockstep.
 func (e *engine) dispatchChunks() {
-	for w := range e.walls {
-		e.walls[w] = 0
-	}
 	e.pool.Run(func(w int) {
 		chunk := e.chunks[w][:0]
 		for i := w; i < len(e.lanes); i += e.width {
@@ -571,17 +531,8 @@ func (e *engine) dispatchChunks() {
 		if len(chunk) == 0 {
 			return
 		}
-		t0 := time.Now()
 		e.solveChunk(w, chunk)
-		e.walls[w] = time.Since(t0).Nanoseconds()
 	})
-	max := int64(0)
-	for _, d := range e.walls {
-		if d > max {
-			max = d
-		}
-	}
-	e.crit += max
 }
 
 // solveChunk advances one worker's lanes through a full candidate solve in

@@ -93,9 +93,6 @@ func TestLaneWaveformsMatchSerial(t *testing.T) {
 	if res.Rounds == 0 {
 		t.Fatal("Rounds not counted")
 	}
-	if res.Stats.CriticalNanos <= 0 {
-		t.Fatal("aggregate critical path not measured")
-	}
 }
 
 // Identical lanes must produce identical waveforms (one shared device set

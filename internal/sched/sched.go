@@ -95,8 +95,7 @@ func (p *Pool) Workers() int {
 // Gang reports whether Run will actually execute the gang concurrently.
 // On a single-CPU host (GOMAXPROCS=1) spinning gang members would only slow
 // the caller down, so Run degrades to a sequential sweep unless Force is set;
-// kernels use Gang to pick between their concurrent and serial forms (and,
-// for the serial form, to model the would-be parallel critical path).
+// kernels use Gang to pick between their concurrent and serial forms.
 func (p *Pool) Gang() bool {
 	return p != nil && p.n > 1 && (p.Force || ForceGang.Load() || runtime.GOMAXPROCS(0) > 1)
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"wavepipe/internal/faults"
 	"wavepipe/internal/sched"
@@ -394,14 +393,6 @@ type Solver struct {
 	// on the serial sweeps. Results are bit-identical either way.
 	Sched *sched.Pool
 
-	// LUWallNanos and LUCritNanos accumulate the wall-clock time and the
-	// modeled parallel critical-path time of the schedulable factorization
-	// work. On hosts without real spare cores the kernels degrade to their
-	// serial forms and the critical path is modeled from the schedule's
-	// chunk geometry, mirroring the device-load accounting in circuit.
-	LUWallNanos int64
-	LUCritNanos int64
-
 	lu      *LU
 	scratch []float64
 	resid   []float64
@@ -506,53 +497,22 @@ func maxRelChange(old, new []float64) float64 {
 }
 
 // refactor runs the numeric-only refactorization, level-scheduled across the
-// attached pool when the pattern has enough parallel width. On a degraded
-// pool (no spare CPUs) the serial sweep runs instead — bit-identical, since
-// per-column arithmetic is order-independent — and the parallel critical
-// path is modeled from the schedule geometry.
+// attached pool's gang when the pattern has enough parallel width. On a
+// degraded pool (no spare CPUs) the serial sweep runs instead — bit-identical,
+// since per-column arithmetic is order-independent.
 func (s *Solver) refactor() error {
-	if s.Sched.Workers() > 1 {
-		if sc := s.lu.schedule(s.Sched.Workers()); sc.refPar {
-			start := time.Now()
-			var err error
-			gang := s.Sched.Gang()
-			if gang {
-				err = s.lu.RefactorParallel(s.M, s.Sched)
-			} else {
-				err = s.lu.Refactor(s.M)
-			}
-			wall := time.Since(start).Nanoseconds()
-			s.LUWallNanos += wall
-			if gang {
-				s.LUCritNanos += wall
-			} else {
-				s.LUCritNanos += int64(float64(wall) * sc.refFrac)
-			}
-			return err
-		}
+	if s.Sched.Gang() && s.lu.schedule(s.Sched.Workers()).refPar {
+		return s.lu.RefactorParallel(s.M, s.Sched)
 	}
 	return s.lu.Refactor(s.M)
 }
 
 // solveVec applies the factorization to one right-hand side, routing through
-// the level-scheduled parallel solve when it is attached and profitable.
+// the level-scheduled parallel solve when the gang is live and profitable.
 func (s *Solver) solveVec(b, x []float64) {
-	if s.Sched.Workers() > 1 {
-		if sc := s.lu.schedule(s.Sched.Workers()); sc.solvePar {
-			start := time.Now()
-			if gang := s.Sched.Gang(); gang {
-				s.lu.SolveParallelWith(b, x, s.scratch, s.Sched)
-				wall := time.Since(start).Nanoseconds()
-				s.LUWallNanos += wall
-				s.LUCritNanos += wall
-			} else {
-				s.lu.SolveWith(b, x, s.scratch)
-				wall := time.Since(start).Nanoseconds()
-				s.LUWallNanos += wall
-				s.LUCritNanos += int64(float64(wall) * sc.solveFrac)
-			}
-			return
-		}
+	if s.Sched.Gang() && s.lu.schedule(s.Sched.Workers()).solvePar {
+		s.lu.SolveParallelWith(b, x, s.scratch, s.Sched)
+		return
 	}
 	s.lu.SolveWith(b, x, s.scratch)
 }

@@ -208,9 +208,6 @@ func TestSolverSchedBitIdentical(t *testing.T) {
 	if sp.Refactorizations == 0 {
 		t.Fatal("scheduled solver never took the refactor path")
 	}
-	if sp.LUWallNanos <= 0 || sp.LUCritNanos <= 0 {
-		t.Fatalf("LU timing not accumulated: wall=%d crit=%d", sp.LUWallNanos, sp.LUCritNanos)
-	}
 }
 
 // TestRefactorParallelDetectsDegeneratePivot mirrors the serial degenerate

@@ -157,8 +157,8 @@ type chromeEvent struct {
 func chromeTid(worker int16) int { return int(worker) + 1 }
 
 // WriteChromeTrace renders events and snapshots as a Chrome trace_event
-// JSON array. Span events (solves, speculative warm-starts, solve phases,
-// worker occupancy) become complete ("X") events on the emitting worker's
+// JSON array. Span events (solves, speculative warm-starts, solve phases)
+// become complete ("X") events on the emitting worker's
 // thread lane; point lifecycle events (accept, reject, discard, recovery,
 // serial-fallback, cancel) become instant ("i") events; snapshots become
 // counter ("C") tracks for step size and points/sec.

@@ -40,7 +40,7 @@ const (
 	KindRecovery            // a recovery-ladder rung rescued a point
 	KindSerialFallback      // the pipeline degraded to serial integration
 	KindPhase               // a timed sub-phase of a solve (see Phase)
-	KindWorker              // one worker's occupancy span in a pipeline stage
+	KindWorker              // worker occupancy span; no longer emitted, decodes in older logs
 	KindCancel              // the run observed context cancellation
 	KindCheckpoint          // a durable checkpoint was written (Dur = encode+write time)
 	KindLaneRetire          // an ensemble lane detached from the gang (Detail = reason)

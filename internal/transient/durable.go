@@ -35,7 +35,6 @@ func snapStats(s Stats) checkpoint.Stats {
 		FullFactorizations:     int64(s.FullFactorizations),
 		BypassedEvals:          s.BypassedEvals,
 		LinearStampHits:        s.LinearStampHits,
-		CriticalNanos:          s.CriticalNanos,
 		CoreBudget:             int64(s.CoreBudget),
 		PipelineWorkers:        int64(s.PipelineWorkers),
 		IntraWorkers:           int64(s.IntraWorkers),
@@ -62,7 +61,6 @@ func unsnapStats(s checkpoint.Stats) Stats {
 		FullFactorizations:     int(s.FullFactorizations),
 		BypassedEvals:          s.BypassedEvals,
 		LinearStampHits:        s.LinearStampHits,
-		CriticalNanos:          s.CriticalNanos,
 		CoreBudget:             int(s.CoreBudget),
 		PipelineWorkers:        int(s.PipelineWorkers),
 		IntraWorkers:           int(s.IntraWorkers),

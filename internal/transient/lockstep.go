@@ -15,9 +15,8 @@ import (
 // to SolveAt, so a lane's lockstep trajectory is bit-identical to its own
 // serial run.
 //
-// Unlike SolveAt, candidates do not accumulate Stats.CriticalNanos or emit
-// trace events: the ensemble engine measures its gang's critical path at
-// round granularity and owns the event stream.
+// Unlike SolveAt, candidates do not emit trace events: the ensemble engine
+// owns the event stream.
 
 // NewPointSolverOn wraps an existing workspace (typically a lane workspace
 // from System.NewLaneWorkspaces) in a point solver. scratch, when it has at

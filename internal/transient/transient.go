@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"time"
 
@@ -23,9 +22,6 @@ import (
 	"wavepipe/internal/trace"
 	"wavepipe/internal/waveform"
 )
-
-// debugSteps enables step-decision tracing (tests/diagnostics only).
-var debugSteps = os.Getenv("WAVEPIPE_DEBUG") != ""
 
 // Breakpointer is implemented by devices whose waveforms have slope
 // discontinuities the engine must land on exactly.
@@ -198,16 +194,10 @@ type Stats struct {
 	// stamp template instead of re-stamping every linear device.
 	BypassedEvals   int64
 	LinearStampHits int64
-	// CriticalNanos is the modeled multi-core wall-clock time: per pipeline
-	// stage, the slowest concurrent worker's measured compute time. For the
-	// serial engine it equals the sum of all point-solve times. This is the
-	// timing model used to report speedups on hosts with fewer cores than
-	// worker threads (see DESIGN.md, hardware substitution).
-	CriticalNanos int64
 	// Two-level scheduling accounting: the core budget the run was given,
 	// how it was split between pipeline workers and intra-point workers,
-	// and whether the pipeline had to serialize because the host (or the
-	// budget) could not actually run the stage gangs concurrently.
+	// and whether the budget granted too few pipeline slots, so stage tasks
+	// ran one after another.
 	CoreBudget         int
 	PipelineWorkers    int
 	IntraWorkers       int
@@ -248,7 +238,6 @@ func (s *Stats) Add(other Stats) {
 	s.FullFactorizations += other.FullFactorizations
 	s.BypassedEvals += other.BypassedEvals
 	s.LinearStampHits += other.LinearStampHits
-	s.CriticalNanos += other.CriticalNanos
 	// Scheduling fields describe the run, not per-worker work: keep the
 	// maximum (per-worker stats carry zeros) and OR the serialization flag.
 	if other.CoreBudget > s.CoreBudget {
@@ -293,11 +282,8 @@ type PointSolver struct {
 	Newton newton.Options
 	Gmin   float64
 	Stats  Stats
-	// LastNanos is the modeled compute time of the most recent SolveAt,
-	// WarmStart or ResumeAt call: measured wall time, with the device-load
-	// wall time replaced by its parallel critical path when sharded loading
-	// is on. LastIters is the Newton iteration count of that call.
-	LastNanos int64
+	// LastIters is the Newton iteration count of the most recent SolveAt or
+	// ResumeAt call.
 	LastIters int
 
 	qhist, r, dx []float64
@@ -479,8 +465,7 @@ func (ps *PointSolver) SolveAt(hist *integrate.History, tNew float64, guess []fl
 // solveAtWith is SolveAt with explicit Newton options and an optional
 // node-to-ground conductance (the recovery ladder's knobs).
 func (ps *PointSolver) solveAtWith(hist *integrate.History, tNew float64, guess []float64, nopts newton.Options, nodeGmin float64) (*integrate.Point, integrate.Coeffs, error) {
-	start := time.Now()
-	defer ps.model(start, ps.WS.LoadWallNanos, ps.WS.LoadCritNanos, ps.WS.Solver.LUWallNanos, ps.WS.Solver.LUCritNanos)
+	start := ps.traceStart()
 	co, err := integrate.Compute(ps.Method, hist, tNew, ps.qhist)
 	if err != nil {
 		return nil, co, err
@@ -504,6 +489,15 @@ func (ps *PointSolver) solveAtWith(hist *integrate.History, tNew float64, guess 
 		return nil, co, err
 	}
 	return ps.finishPoint(pt, tNew, co), co, nil
+}
+
+// traceStart reads the clock for a span that emitSolve or WarmStart will
+// publish; untraced runs skip the read and get the zero time.
+func (ps *PointSolver) traceStart() time.Time {
+	if !ps.WS.Trace.Active() {
+		return time.Time{}
+	}
+	return time.Now()
 }
 
 // emitSolve publishes one KindSolve event covering the whole point solve
@@ -553,8 +547,7 @@ func (ps *PointSolver) loadCounted(x []float64, p circuit.LoadParams) {
 // regardless of convergence. Forward pipelining uses it to pre-iterate on a
 // predicted history while the true predecessor point is still being solved.
 func (ps *PointSolver) WarmStart(hist *integrate.History, tNew float64, maxIter int) []float64 {
-	start := time.Now()
-	defer ps.model(start, ps.WS.LoadWallNanos, ps.WS.LoadCritNanos, ps.WS.Solver.LUWallNanos, ps.WS.Solver.LUCritNanos)
+	start := ps.traceStart()
 	ps.warmValid = false
 	co, err := integrate.Compute(ps.Method, hist, tNew, ps.qhist)
 	if err != nil {
@@ -604,14 +597,12 @@ func (ps *PointSolver) ResumeAt(hist *integrate.History, tNew float64, warm []fl
 		return nil, co, err
 	}
 	match := ps.warmValid && warm != nil && ps.warmTime == tNew &&
-		math.Abs(ps.warmAlpha0-co.Alpha0) <= 1e-9*math.Abs(co.Alpha0) &&
-		os.Getenv("WAVEPIPE_NO_RESUME") == ""
+		math.Abs(ps.warmAlpha0-co.Alpha0) <= 1e-9*math.Abs(co.Alpha0)
 	ps.warmValid = false
 	if !match {
 		return ps.SolveAt(hist, tNew, warm)
 	}
-	start := time.Now()
-	defer ps.model(start, ps.WS.LoadWallNanos, ps.WS.LoadCritNanos, ps.WS.Solver.LUWallNanos, ps.WS.Solver.LUCritNanos)
+	start := ps.traceStart()
 	pt := ps.takePoint()
 	x := pt.X
 	copy(x, warm)
@@ -627,19 +618,6 @@ func (ps *PointSolver) ResumeAt(hist *integrate.History, tNew float64, warm []fl
 		return nil, co, err
 	}
 	return ps.finishPoint(pt, tNew, co), co, nil
-}
-
-// model records the modeled compute time of the finished call: measured wall
-// time with the device-load and LU-kernel wall segments replaced by their
-// parallel critical paths (see DESIGN.md, hardware substitution).
-func (ps *PointSolver) model(start time.Time, loadWall0, loadCrit0, luWall0, luCrit0 int64) {
-	wall := time.Since(start).Nanoseconds()
-	loadWall := ps.WS.LoadWallNanos - loadWall0
-	loadCrit := ps.WS.LoadCritNanos - loadCrit0
-	luWall := ps.WS.Solver.LUWallNanos - luWall0
-	luCrit := ps.WS.Solver.LUCritNanos - luCrit0
-	ps.LastNanos = wall - loadWall + loadCrit - luWall + luCrit
-	ps.Stats.CriticalNanos += ps.LastNanos
 }
 
 // finishPoint assembles once more at the converged solution pt.X so the
@@ -1062,9 +1040,6 @@ func Run(sys *circuit.System, opts Options) (result *Result, runErr error) {
 			continue
 		}
 		h = ctrl.ClampStep(ctrl.NextStep(ps.Method, co.Order, norm, hUsed, co.H1, hUsed), hUsed)
-		if debugSteps {
-			fmt.Printf("ser t=%.5g hUsed=%.3g norm=%.3g h1S=%.3g -> h=%.3g\n", t, hUsed, norm, co.H1, h)
-		}
 	}
 
 	last := hist.Last()

@@ -5,7 +5,6 @@ import (
 
 	"wavepipe/internal/faults"
 	"wavepipe/internal/integrate"
-	"wavepipe/internal/trace"
 	"wavepipe/internal/transient"
 )
 
@@ -58,7 +57,6 @@ func (e *engine) forwardStage(combined bool) error {
 	// a cold solve.
 	var warmFwdRes, warmB2Res pointResult
 	var warmFwd, warmB2 []float64
-	var warmFwdNanos, warmB2Nanos int64
 	// The predicted history mirrors the spacing of the true one (including
 	// the backward point when present) so the speculative assemblies'
 	// Alpha0 match and ResumeAt can reuse them. Each warm-start task predicts
@@ -86,20 +84,16 @@ func (e *engine) forwardStage(combined bool) error {
 	if doForward {
 		tasksA = append(tasksA, e.guardTask(t2, &warmFwdRes, func() {
 			warmFwd = e.solvers[1].WarmStart(predicted(e.solvers[1]), t2, depth)
-			warmFwdNanos = e.solvers[1].LastNanos
 		}))
 	}
 	if doBack2 {
 		tasksA = append(tasksA, e.guardTask(t2-delta, &warmB2Res, func() {
 			warmB2 = e.solvers[3].WarmStart(predicted(e.solvers[3]), t2-delta, depth)
-			warmB2Nanos = e.solvers[3].LastNanos
 		}))
 	}
 	e.runTasks(tasksA...)
 	e.notePanics(&main, &back1, &warmFwdRes, &warmB2Res)
-	e.critNanos += e.phaseACrit(doBack1, warmFwdNanos, warmB2Nanos)
 	e.noteMainIters(e.solvers[0].LastIters)
-	e.notePhaseAOccupancy(t1, doBack1, doForward, doBack2)
 
 	if main.err != nil {
 		e.noteDiscards(t1, boolCount(doBack1))
@@ -130,8 +124,6 @@ func (e *engine) forwardStage(combined bool) error {
 		}
 		e.runTasks(tasksB...)
 		e.notePanics(&fwd, &back2)
-		e.critNanos += e.phaseBCrit(doBack2)
-		e.notePhaseBOccupancy(t2, doBack2)
 	}
 
 	// ---- Validation and publication, ascending in time ----
@@ -211,74 +203,4 @@ func boolCount(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// notePhaseAOccupancy publishes worker-occupancy spans for the forward
-// stage's first parallel round (main solve, optional backward point, the
-// speculative warm starts), matching the worker→solver assignment above.
-func (e *engine) notePhaseAOccupancy(t float64, back1, fwd, back2 bool) {
-	if !e.tr.Active() {
-		return
-	}
-	emit := func(w int) {
-		e.tr.Emit(trace.Event{
-			Kind: trace.KindWorker, T: t, Worker: int16(w),
-			Stage: int32(e.stages), Dur: e.solvers[w].LastNanos,
-		})
-	}
-	emit(0)
-	if back1 {
-		emit(2)
-	}
-	if fwd {
-		emit(1)
-	}
-	if back2 {
-		emit(3)
-	}
-}
-
-// notePhaseBOccupancy publishes the second round's spans: the corrective
-// forward solve and the optional backward point under it.
-func (e *engine) notePhaseBOccupancy(t float64, back2 bool) {
-	if !e.tr.Active() {
-		return
-	}
-	e.tr.Emit(trace.Event{
-		Kind: trace.KindWorker, T: t, Worker: 1,
-		Stage: int32(e.stages), Dur: e.solvers[1].LastNanos,
-	})
-	if back2 {
-		e.tr.Emit(trace.Event{
-			Kind: trace.KindWorker, T: t, Worker: 3,
-			Stage: int32(e.stages), Dur: e.solvers[3].LastNanos,
-		})
-	}
-}
-
-// phaseACrit returns the critical-path time of the stage's first parallel
-// round: the main point, the optional backward point and the speculative
-// warm starts all run concurrently.
-func (e *engine) phaseACrit(withBack1 bool, warmNanos ...int64) int64 {
-	crit := e.solvers[0].LastNanos
-	if withBack1 && e.solvers[2].LastNanos > crit {
-		crit = e.solvers[2].LastNanos
-	}
-	for _, w := range warmNanos {
-		if w > crit {
-			crit = w
-		}
-	}
-	return crit
-}
-
-// phaseBCrit returns the critical-path time of the stage's second parallel
-// round: the corrective forward solve and the optional backward point under
-// it.
-func (e *engine) phaseBCrit(withBack2 bool) int64 {
-	crit := e.solvers[1].LastNanos
-	if withBack2 && e.solvers[3].LastNanos > crit {
-		crit = e.solvers[3].LastNanos
-	}
-	return crit
 }

@@ -7,27 +7,28 @@ import (
 	"wavepipe/internal/waveform"
 )
 
-// TestParallelWorkersRaceAndEquivalence forces the truly concurrent worker
-// path (normally skipped on hosts with fewer cores than threads) so the
-// race detector can inspect the sharing discipline: immutable history
-// points, per-worker solvers, coordinator-only acceptance. It also checks
-// that the concurrent path produces the same waveform as the sequential
-// one.
+// TestParallelWorkersRaceAndEquivalence runs the truly concurrent worker
+// path so the race detector can inspect the sharing discipline: immutable
+// history points, per-worker solvers, coordinator-only acceptance. It also
+// checks that the concurrent path produces the same waveform as the
+// sequential one, which a one-core budget forces.
 func TestParallelWorkersRaceAndEquivalence(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeBackward, SchemeForward, SchemeCombined} {
 		seqRes, err := Run(rectifierSystem(t), Options{
-			Base:    transient.Options{TStop: 1e-3},
+			Base:    transient.Options{TStop: 1e-3, CoreBudget: 1},
 			Scheme:  scheme,
 			Threads: 4,
 		})
 		if err != nil {
 			t.Fatalf("%v sequential: %v", scheme, err)
 		}
+		if !seqRes.Stats.PipelineSerialized {
+			t.Fatalf("%v: budget 1 under 4 workers did not serialize the pipeline", scheme)
+		}
 		parRes, err := Run(rectifierSystem(t), Options{
-			Base:                 transient.Options{TStop: 1e-3},
-			Scheme:               scheme,
-			Threads:              4,
-			ForceParallelWorkers: true,
+			Base:    transient.Options{TStop: 1e-3},
+			Scheme:  scheme,
+			Threads: 4,
 		})
 		if err != nil {
 			t.Fatalf("%v parallel: %v", scheme, err)

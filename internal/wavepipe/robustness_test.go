@@ -13,10 +13,9 @@ import (
 func runRectifier(t *testing.T, in *faults.Injector) *transient.Result {
 	t.Helper()
 	res, err := Run(rectifierSystem(t), Options{
-		Base:                 transient.Options{TStop: 3e-3, Faults: in},
-		Scheme:               SchemeCombined,
-		Threads:              4,
-		ForceParallelWorkers: true,
+		Base:    transient.Options{TStop: 3e-3, Faults: in},
+		Scheme:  SchemeCombined,
+		Threads: 4,
 	})
 	if err != nil {
 		t.Fatalf("faulted run did not recover: %v", err)

@@ -31,8 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -83,6 +81,7 @@ type Options struct {
 	// 2 for forward, 3–4 for combined. Defaults to 2 (3 for combined).
 	Threads int
 	// DeltaRatio sets the backward offset δ = DeltaRatio·h (default 0.2).
+	// Values outside (0, MaxDeltaRatio) select the default.
 	DeltaRatio float64
 	// WarmIters is how many speculative Newton iterations the forward
 	// worker runs on the predicted history. 0 (the default) adapts the
@@ -96,12 +95,11 @@ type Options struct {
 	// nonlinear events; kept as an ablation knob (experiment A2), off by
 	// default.
 	AggressiveGrowth bool
-	// ForceParallelWorkers launches stage workers as goroutines even when
-	// the host has fewer cores than Threads (normally they run sequentially
-	// there so the critical-path timing model stays uncontended). Results
-	// are identical either way; used by the race-detector tests.
-	ForceParallelWorkers bool
 }
+
+// MaxDeltaRatio is the exclusive upper bound of the backward offset ratio
+// the engine accepts.
+const MaxDeltaRatio = 0.9
 
 func (o Options) withDefaults() Options {
 	if o.Threads <= 0 {
@@ -120,7 +118,7 @@ func (o Options) withDefaults() Options {
 	if o.Scheme == SchemeBackward && o.Threads > 4 {
 		o.Threads = 4
 	}
-	if o.DeltaRatio <= 0 || o.DeltaRatio >= 0.9 {
+	if o.DeltaRatio <= 0 || o.DeltaRatio >= MaxDeltaRatio {
 		o.DeltaRatio = 0.2
 	}
 	return o
@@ -255,11 +253,6 @@ func Run(sys *circuit.System, opts Options) (result *transient.Result, runErr er
 			return e.result(), fmt.Errorf("wavepipe: exceeded %d points at t=%g", base.MaxPoints, e.t())
 		}
 		e.stages++
-		if debugSteps && e.stages%100000 == 0 {
-			// Stall diagnostic: a healthy run never reaches this.
-			fmt.Printf("wavepipe: stage=%d t=%.6g h=%.3g points=%d rejects=%d\n",
-				e.stages, e.t(), e.h, e.points, e.lteRejects)
-		}
 		var err error
 		switch {
 		case e.warmup > 0 || e.degraded > 0:
@@ -305,7 +298,6 @@ func (e *engine) capture() *checkpoint.State {
 	total.Stages = e.stages
 	total.WorkerPanics = e.workerPanics
 	total.DegradedStages = e.degradedStages
-	total.CriticalNanos = e.critNanos
 	total.Add(e.baseStats)
 	hUsed := 0.0
 	if n := e.hist.Len(); n >= 2 {
@@ -328,9 +320,6 @@ func (e *engine) result() *transient.Result {
 	stats.Stages = e.stages
 	stats.WorkerPanics = e.workerPanics
 	stats.DegradedStages = e.degradedStages
-	// The summed per-solver CriticalNanos is total work; replace it with
-	// the pipeline critical path accumulated per stage.
-	stats.CriticalNanos = e.critNanos
 	stats.CoreBudget = e.coreBudget
 	stats.PipelineWorkers = e.opts.Threads
 	stats.IntraWorkers = 1
@@ -365,7 +354,8 @@ type engine struct {
 
 	// Two-level scheduling state: the run's core budget (0 = unmanaged),
 	// the per-solver intra-point gang width, the budget accountant and the
-	// pools it granted, and whether any pipeline phase had to serialize.
+	// pools it granted, and whether the budget forced any pipeline phase to
+	// serialize.
 	coreBudget         int
 	intra              int
 	budget             *sched.Budget
@@ -399,7 +389,6 @@ type engine struct {
 	stages         int
 	workerPanics   int
 	degradedStages int
-	critNanos      int64
 	emaIters       float64 // rolling main-solve Newton iteration count
 
 	// Coordinator-side scratch: the LTE checks and step selection run on the
@@ -454,25 +443,15 @@ func (e *engine) noteMainIters(iters int) {
 }
 
 // sequentialFor reports whether a phase of n concurrent tasks must run
-// sequentially. Two reasons force it: the host has fewer schedulable cores
-// than tasks (concurrent solves would time-share the CPU and pollute the
-// per-solve measurements behind the critical-path model), or the run's core
-// budget grants fewer pipeline slots than the phase needs. Both are
-// rechecked every phase — GOMAXPROCS is mutable at runtime, so a one-shot
-// answer captured at engine construction can go stale mid-run.
+// sequentially because the run's core budget grants fewer pipeline slots
+// than the phase needs.
 func (e *engine) sequentialFor(n int) bool {
-	if e.opts.ForceParallelWorkers {
-		return false
-	}
-	if runtime.GOMAXPROCS(0) < n {
-		return true
-	}
 	return e.coreBudget > 0 && e.coreBudget < n
 }
 
 // runTasks executes the independent tasks of one pipeline phase, in
-// parallel on hosts with enough cores and budget, and sequentially
-// otherwise (same results either way; see sequentialFor).
+// parallel unless the core budget forbids it (same results either way; see
+// sequentialFor).
 func (e *engine) runTasks(tasks ...func()) {
 	if len(tasks) == 1 {
 		tasks[0]()
@@ -569,21 +548,6 @@ func (e *engine) noteReject(t, h, norm float64) {
 		e.tr.Emit(trace.Event{
 			Kind: trace.KindLTEReject, T: t, H: h, Norm: norm,
 			Worker: -1, Stage: int32(e.stages),
-		})
-	}
-}
-
-// noteOccupancy publishes one worker-occupancy span for each solver that
-// participated in the just-joined parallel round (tasks i < n), using the
-// solver's modeled compute time as the span length.
-func (e *engine) noteOccupancy(t float64, n int) {
-	if !e.tr.Active() {
-		return
-	}
-	for i := 0; i < n && i < len(e.solvers); i++ {
-		e.tr.Emit(trace.Event{
-			Kind: trace.KindWorker, T: t, Worker: int16(i),
-			Stage: int32(e.stages), Dur: e.solvers[i].LastNanos,
 		})
 	}
 }
@@ -686,8 +650,6 @@ func (e *engine) serialStage() error {
 			}
 		}
 	}
-	e.critNanos += e.solvers[0].LastNanos
-	e.noteOccupancy(tNew, 1)
 	res := pointResult{pt: pt, co: co}
 	norm := e.lteNorm(res)
 	if norm > 1 && co.H0 > e.ctrl.HMin*1.01 && !e.afterBreak {
@@ -772,14 +734,7 @@ func (e *engine) nextStep(hUsed float64, accepted int, norm, h1Solve float64) {
 		h = capV
 	}
 	e.h = num.Clamp(h, e.ctrl.HMin, e.ctrl.HMax)
-	if debugSteps {
-		fmt.Printf("bwp t=%.5g hUsed=%.3g norm=%.3g h1S=%.3g h1N=%.3g -> h=%.3g\n",
-			e.t(), hUsed, norm, h1Solve, h1Next, e.h)
-	}
 }
-
-// debugSteps enables step-decision tracing (tests/diagnostics only).
-var debugSteps = os.Getenv("WAVEPIPE_DEBUG") != ""
 
 // shrinkAfterFailure reduces the stage step after a Newton failure. It never
 // fails the run: repeated failures and the step floor both hand control to
@@ -836,15 +791,6 @@ func (e *engine) backwardStage() error {
 	for i := range results {
 		e.notePanics(&results[i])
 	}
-	// Stage critical path: the slowest of the concurrent workers.
-	var stageCrit int64
-	for i := range targets {
-		if d := e.solvers[i].LastNanos; d > stageCrit {
-			stageCrit = d
-		}
-	}
-	e.critNanos += stageCrit
-	e.noteOccupancy(tMain, len(targets))
 
 	main := results[len(results)-1]
 	if main.err != nil {

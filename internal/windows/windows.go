@@ -136,7 +136,6 @@ type Options struct {
 type winRec struct {
 	specRes *transient.Result // speculative attempt (window 0: the exact run)
 	redoRes *transient.Result // exact-seeded attempt (gate fail or strict)
-	gateOK  bool              // speculative solve accepted
 	res     *transient.Result // the accepted (or last attempted) result
 	end     *checkpoint.State // exact end state handed to the successor
 	err     error
@@ -574,7 +573,7 @@ func (r *runner) worker(w int) {
 		r.acquire()
 		rec.specRes, rec.end, rec.err = r.fineWindow(0, nil)
 		r.release()
-		rec.res, rec.gateOK = rec.specRes, rec.err == nil
+		rec.res = rec.specRes
 		if rec.err == nil {
 			r.emit(trace.KindWindowConverge, w, r.tb[w+1])
 		}
@@ -599,7 +598,7 @@ func (r *runner) worker(w int) {
 		return
 	}
 	if rec.specRes != nil && specErr == nil && !r.coarse.Strict && r.gatePass(seedX, pred.state) {
-		rec.res, rec.end, rec.gateOK = rec.specRes, specEnd, true
+		rec.res, rec.end = rec.specRes, specEnd
 		r.redoStreak.Store(0)
 		r.emit(trace.KindWindowConverge, w, r.tb[w+1])
 		return
@@ -637,8 +636,7 @@ func (r *runner) worker(w int) {
 
 // assemble stitches the per-window waveforms (dropping each seam's
 // duplicated seed sample), merges stats and recovery logs across every
-// inner run, models the multi-core critical path of the window schedule,
-// and replays OnAccept over the stitched rows.
+// inner run and replays OnAccept over the stitched rows.
 func (r *runner) assemble() (*transient.Result, error) {
 	W := r.opts.W
 	out := &transient.Result{Recovery: &transient.RecoveryLog{}}
@@ -715,7 +713,6 @@ func (r *runner) assemble() (*transient.Result, error) {
 	if r.opts.CoreBudget > out.Stats.CoreBudget {
 		out.Stats.CoreBudget = r.opts.CoreBudget
 	}
-	out.Stats.CriticalNanos = r.modelCritical()
 
 	if r.opts.Base.OnAccept != nil && out.W != nil {
 		for i, t := range out.W.Times {
@@ -723,70 +720,4 @@ func (r *runner) assemble() (*transient.Result, error) {
 		}
 	}
 	return out, firstErr
-}
-
-// modelCritical replays the window schedule against the measured
-// per-attempt critical paths: the coarse sweep occupies one of the wconc
-// concurrency slots, speculative solves start when their seed is ready and
-// a slot frees up, and window w converges no earlier than window w-1 plus
-// its own correction when the gate failed. This is the same hardware-
-// substitution timing model the engines use (DESIGN.md), extended across
-// the time axis.
-func (r *runner) modelCritical() int64 {
-	W := r.opts.W
-	slots := make([]int64, r.wconc)
-	seedReady := make([]int64, W)
-	var cum int64
-	for k, res := range r.coarseRes {
-		if res != nil {
-			cum += res.Stats.CriticalNanos
-		}
-		if k+1 < W {
-			seedReady[k+1] = cum
-		}
-	}
-	if cum > 0 {
-		slots[0] = cum // the coarse lane
-	}
-	crit := func(res *transient.Result) int64 {
-		if res == nil {
-			return 0
-		}
-		return res.Stats.CriticalNanos
-	}
-	conv := make([]int64, W)
-	var last int64
-	for w := 0; w < W; w++ {
-		rec := &r.recs[w]
-		var specDone int64
-		if rec.specRes != nil {
-			si := 0
-			for i := range slots {
-				if slots[i] < slots[si] {
-					si = i
-				}
-			}
-			start := slots[si]
-			if seedReady[w] > start {
-				start = seedReady[w]
-			}
-			specDone = start + crit(rec.specRes)
-			slots[si] = specDone
-		}
-		switch {
-		case w == 0:
-			conv[0] = specDone
-		case rec.gateOK:
-			conv[w] = conv[w-1]
-			if specDone > conv[w] {
-				conv[w] = specDone
-			}
-		default:
-			conv[w] = conv[w-1] + crit(rec.redoRes)
-		}
-		if rec.res != nil {
-			last = conv[w]
-		}
-	}
-	return last
 }

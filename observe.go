@@ -52,7 +52,7 @@ const (
 	TraceKindRecovery       = trace.KindRecovery       // recovery-ladder rescue
 	TraceKindSerialFallback = trace.KindSerialFallback // pipeline degraded to serial
 	TraceKindPhase          = trace.KindPhase          // timed solve sub-phase
-	TraceKindWorker         = trace.KindWorker         // worker occupancy span
+	TraceKindWorker         = trace.KindWorker         // no longer emitted; decodes in older logs
 	TraceKindCancel         = trace.KindCancel         // context cancellation observed
 	TraceKindCheckpoint     = trace.KindCheckpoint     // durable checkpoint written
 )

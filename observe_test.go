@@ -205,6 +205,9 @@ func TestTranOptionsValidation(t *testing.T) {
 		{"NaN delta", func(o *wavepipe.TranOptions) { o.DeltaRatio = math.NaN() }, "DeltaRatio"},
 		{"negative delta", func(o *wavepipe.TranOptions) { o.DeltaRatio = -0.2 }, "DeltaRatio"},
 		{"delta >= 1", func(o *wavepipe.TranOptions) { o.DeltaRatio = 1.0 }, "DeltaRatio"},
+		// The engine honours only ratios below 0.9; a ratio in [0.9, 1) must
+		// fail here, naming the range, instead of running at the default.
+		{"delta above engine range", func(o *wavepipe.TranOptions) { o.DeltaRatio = 0.95 }, "[0, 0.9)"},
 	}
 	for _, tc := range cases {
 		opts := base

@@ -415,7 +415,8 @@ type TranOptions struct {
 	NodeSet map[string]float64
 	// Record lists node names to record (nil = all node voltages).
 	Record []string
-	// DeltaRatio tunes the backward offset δ/h (default 0.2).
+	// DeltaRatio tunes the backward offset δ/h (default 0.2). It must lie
+	// in [0, 0.9); 0 selects the default.
 	DeltaRatio float64
 	// AggressiveGrowth enables the per-point growth-cap credit (ablation).
 	AggressiveGrowth bool
@@ -578,8 +579,8 @@ func (o TranOptions) validate() error {
 	if o.DeltaRatio < 0 {
 		return fmt.Errorf("wavepipe: DeltaRatio must not be negative (got %g): the backward offset δ = DeltaRatio·h must stay inside the step", o.DeltaRatio)
 	}
-	if o.DeltaRatio >= 1 {
-		return fmt.Errorf("wavepipe: DeltaRatio %g must be below 1: a backward point at δ ≥ h would precede the current time", o.DeltaRatio)
+	if o.DeltaRatio >= wpcore.MaxDeltaRatio {
+		return fmt.Errorf("wavepipe: DeltaRatio %g is outside the engine's range [0, %g) (0 selects the default 0.2)", o.DeltaRatio, wpcore.MaxDeltaRatio)
 	}
 	if o.CoreBudget < 0 {
 		return fmt.Errorf("wavepipe: CoreBudget must not be negative (got %d)", o.CoreBudget)

@@ -198,7 +198,6 @@ type Stats struct {
 	FullFactorizations     int   `json:"fullFactorizations"`
 	BypassedEvals          int64 `json:"bypassedEvals"`
 	LinearStampHits        int64 `json:"linearStampHits"`
-	CriticalNanos          int64 `json:"criticalNanos"`
 	CoreBudget             int   `json:"coreBudget"`
 	PipelineWorkers        int   `json:"pipelineWorkers"`
 	IntraWorkers           int   `json:"intraWorkers"`
@@ -231,7 +230,6 @@ func FromStats(s wavepipe.Stats) Stats {
 		FullFactorizations:     s.FullFactorizations,
 		BypassedEvals:          s.BypassedEvals,
 		LinearStampHits:        s.LinearStampHits,
-		CriticalNanos:          s.CriticalNanos,
 		CoreBudget:             s.CoreBudget,
 		PipelineWorkers:        s.PipelineWorkers,
 		IntraWorkers:           s.IntraWorkers,
@@ -263,7 +261,6 @@ func (w Stats) ToStats() wavepipe.Stats {
 		FullFactorizations:     w.FullFactorizations,
 		BypassedEvals:          w.BypassedEvals,
 		LinearStampHits:        w.LinearStampHits,
-		CriticalNanos:          w.CriticalNanos,
 		CoreBudget:             w.CoreBudget,
 		PipelineWorkers:        w.PipelineWorkers,
 		IntraWorkers:           w.IntraWorkers,

@@ -86,7 +86,7 @@ func TestResultGoldenRoundTrip(t *testing.T) {
 	if v, err := res.W.At("out", 2e-9); err != nil || v != 0.86 {
 		t.Fatalf("rebuilt waveform At = %g, %v", v, err)
 	}
-	if res.Stats.Points != 3 || res.Stats.CriticalNanos != 123456 {
+	if res.Stats.Points != 3 || res.Stats.NRIters != 9 {
 		t.Fatalf("stats drifted: %+v", res.Stats)
 	}
 	var buf bytes.Buffer
