@@ -241,24 +241,20 @@ func BenchmarkDeviceLoadGrid(b *testing.B) {
 	}
 }
 
-// The same full device load under the two parallel assembly strategies
-// (names share the BenchmarkDeviceLoadGrid prefix so one -bench regex
-// covers the family).
-func benchDeviceLoad(b *testing.B, mode circuit.LoadMode, workers int) {
+// The same full device load on a pooled gang of width 2 — the one parallel
+// load path (the name shares the BenchmarkDeviceLoadGrid prefix so one
+// -bench regex covers the family).
+func BenchmarkDeviceLoadGridPooled2(b *testing.B) {
 	sys, _ := findBenchmark(b, "grid24")
 	ws := sys.NewWorkspace()
-	ws.SetLoadWorkers(workers)
-	ws.SetLoadMode(mode)
+	attachGang(b, ws, 2)
 	x := make([]float64, sys.N)
-	loadOnce(b, ws, x) // warm up shard/coloring pools outside the timed loop
+	loadOnce(b, ws, x) // warm up the gang outside the timed loop
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		loadOnce(b, ws, x)
 	}
 }
-
-func BenchmarkDeviceLoadGridSharded4(b *testing.B) { benchDeviceLoad(b, circuit.LoadSharded, 4) }
-func BenchmarkDeviceLoadGridColored4(b *testing.B) { benchDeviceLoad(b, circuit.LoadColored, 4) }
 
 // Level-scheduled sparse kernels: numeric refactorization and triangular
 // solve with and without an attached gang. The kernels gate themselves per
@@ -274,8 +270,11 @@ func attachGang(b *testing.B, ws *circuit.Workspace, gang int) {
 	if pool == nil {
 		b.Fatalf("NewPool(%d) = nil", gang)
 	}
-	pool.Force = true // spawn the gang even on 1-core hosts
-	b.Cleanup(pool.Close)
+	sched.ForceGang.Store(true) // run the gang even on 1-core hosts
+	b.Cleanup(func() {
+		sched.ForceGang.Store(false)
+		pool.Close()
+	})
 	ws.SetPool(pool)
 }
 

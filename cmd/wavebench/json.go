@@ -2,7 +2,7 @@ package main
 
 // Machine-readable metrics (-json) and the load-scaling figure: the
 // measurements that seed BENCH_*.json perf-trajectory tracking and the
-// EXPERIMENTS.md sharded-vs-colored assembly comparison.
+// EXPERIMENTS.md serial-vs-pooled device-load comparison.
 
 import (
 	"encoding/json"
@@ -16,6 +16,7 @@ import (
 	"wavepipe/internal/circuit"
 	"wavepipe/internal/circuits"
 	"wavepipe/internal/device"
+	"wavepipe/internal/sched"
 	wpcore "wavepipe/internal/wavepipe"
 )
 
@@ -38,11 +39,9 @@ type benchMetrics struct {
 	BypassedEvals   int64 `json:"bypassed_evals"`
 	LinearStampHits int64 `json:"linear_stamp_hits"`
 	LoadSerialNs    int64 `json:"load_serial_ns"`
-	LoadSharded4Ns  int64 `json:"load_sharded4_ns"`
-	LoadColored4Ns  int64 `json:"load_colored4_ns"`
-	// LoadReductionNs is what one device-load call saves under the colored
-	// direct-stamp path relative to shard-and-reduce at 4 workers.
-	LoadReductionNs int64 `json:"load_reduction_ns"`
+	// LoadGang4Ns is one device load on a pool-attached workspace with a
+	// gang of width 4 (colored direct stamping when the coloring pays).
+	LoadGang4Ns int64 `json:"load_colored4_ns"`
 	// Two-level scheduling metadata (zero values when -cores is unset).
 	CoreBudget         int  `json:"core_budget"`
 	PipelineWorkers    int  `json:"pipeline_workers"`
@@ -51,14 +50,13 @@ type benchMetrics struct {
 }
 
 // measureLoadNs returns the fastest observed wall time of one full device
-// load under the given assembly configuration (workers <= 1 is the plain
-// serial path).
-func measureLoadNs(sys *circuit.System, mode circuit.LoadMode, workers int) int64 {
+// load on a workspace with a gang pool of the given width attached (gang <= 1
+// is the plain serial path).
+func measureLoadNs(sys *circuit.System, gang int) int64 {
 	ws := sys.NewWorkspace()
-	if workers > 1 {
-		ws.SetLoadWorkers(workers)
-		ws.SetLoadMode(mode)
-	}
+	pool := sched.NewPool(gang)
+	defer pool.Close()
+	ws.SetPool(pool)
 	x := make([]float64, sys.N)
 	p := circuit.LoadParams{Alpha0: 1e9, Gmin: 1e-12, SrcScale: 1}
 	ws.Load(x, p) // warm up (coloring probe, pools)
@@ -89,9 +87,8 @@ func jsonMetrics(benchName string, bypassTol float64, coreBudget int, devBypass 
 		if err != nil {
 			return err
 		}
-		loadSerial := measureLoadNs(sys, circuit.LoadAuto, 1)
-		loadSharded := measureLoadNs(sys, circuit.LoadSharded, 4)
-		loadColored := measureLoadNs(sys, circuit.LoadColored, 4)
+		loadSerial := measureLoadNs(sys, 1)
+		loadGang4 := measureLoadNs(sys, 4)
 		opts := wavepipe.TranOptions{
 			TStop:        window(b),
 			Record:       []string{b.Probe},
@@ -126,9 +123,7 @@ func jsonMetrics(benchName string, bypassTol float64, coreBudget int, devBypass 
 			BypassedEvals:          res.Stats.BypassedEvals,
 			LinearStampHits:        res.Stats.LinearStampHits,
 			LoadSerialNs:           loadSerial,
-			LoadSharded4Ns:         loadSharded,
-			LoadColored4Ns:         loadColored,
-			LoadReductionNs:        loadSharded - loadColored,
+			LoadGang4Ns:            loadGang4,
 			CoreBudget:             res.Stats.CoreBudget,
 			PipelineWorkers:        res.Stats.PipelineWorkers,
 			IntraWorkers:           res.Stats.IntraWorkers,
@@ -322,27 +317,35 @@ func figBypassScale(benchName string, jsonOut bool) error {
 	return nil
 }
 
-// figLoadScale prints the sharded-vs-colored assembly comparison: one full
-// device load at 1/2/4 workers under both strategies, per suite circuit.
+// figLoadScale prints the device-load scaling figure: one full device load
+// serially and on a pooled gang at every width from 2 to NumCPU, per suite
+// circuit. A pool-attached load whose coloring is degenerate at a width
+// stays serial, so its ratio there sits near 1.
 func figLoadScale() error {
-	fmt.Println("Figure F6: device-load assembly scaling, sharded vs colored (ns per load)")
-	fmt.Printf("%-10s %8s %10s %10s %10s %10s %8s %8s\n",
-		"circuit", "serial", "shard2", "shard4", "color2", "color4", "sp2", "sp4")
+	widths := []int{}
+	for w := 2; w <= max(2, runtime.NumCPU()); w++ {
+		widths = append(widths, w)
+	}
+	fmt.Printf("Figure F6: device-load scaling, serial vs pooled colored gang (ns per load, NumCPU=%d)\n", runtime.NumCPU())
+	fmt.Printf("%-10s %8s", "circuit", "serial")
+	for _, w := range widths {
+		fmt.Printf(" %9s %6s", fmt.Sprintf("gang%d", w), fmt.Sprintf("sp%d", w))
+	}
+	fmt.Println()
 	for _, b := range circuits.Suite() {
 		sys, err := build(b)
 		if err != nil {
 			return err
 		}
-		serial := measureLoadNs(sys, circuit.LoadAuto, 1)
-		sh2 := measureLoadNs(sys, circuit.LoadSharded, 2)
-		sh4 := measureLoadNs(sys, circuit.LoadSharded, 4)
-		co2 := measureLoadNs(sys, circuit.LoadColored, 2)
-		co4 := measureLoadNs(sys, circuit.LoadColored, 4)
-		fmt.Printf("%-10s %8d %10d %10d %10d %10d %8.2f %8.2f\n",
-			b.Name, serial, sh2, sh4, co2, co4,
-			float64(sh2)/float64(co2), float64(sh4)/float64(co4))
+		serial := measureLoadNs(sys, 1)
+		fmt.Printf("%-10s %8d", b.Name, serial)
+		for _, w := range widths {
+			ns := measureLoadNs(sys, w)
+			fmt.Printf(" %9d %6.2f", ns, float64(serial)/float64(ns))
+		}
+		fmt.Println()
 	}
-	fmt.Println("sp2/sp4: sharded-vs-colored time ratio at the same worker count (>1 favours colored)")
+	fmt.Println("spN: serial-over-gang wall-time ratio at gang width N (>1 means the gang pays)")
 	return nil
 }
 

@@ -66,7 +66,9 @@ func sameWaveform(t *testing.T, tag string, got, want *Result) {
 // concurrent code paths, once with every kernel degraded to its sequential
 // sweep. The waveforms must match bit for bit — the parallel level-scheduled
 // LU and the pooled colored load are exact reimplementations, not
-// approximations.
+// approximations. The fine-grained scheme at Threads 2 runs the same gang
+// kernels without the profitability gate, so every circuit also takes it
+// through the same forced-against-degraded comparison.
 func TestCoreBudgetBitIdenticalSuite(t *testing.T) {
 	for _, b := range circuits.Suite() {
 		b := b
@@ -81,6 +83,13 @@ func TestCoreBudgetBitIdenticalSuite(t *testing.T) {
 			sameWaveform(t, "gang vs degraded", par, deg)
 			if par.Stats.CoreBudget != 4 {
 				t.Fatalf("Stats.CoreBudget = %d, want 4", par.Stats.CoreBudget)
+			}
+			fine := opts
+			fine.Scheme, fine.Threads = FineGrained, 2
+			finePar := forcedRun(t, sys, fine, 4)
+			sameWaveform(t, "finegrain gang vs degraded", finePar, budgetRun(t, sys, fine, 4, 1))
+			if finePar.Stats.IntraWorkers != 2 {
+				t.Fatalf("finegrain IntraWorkers = %d, want 2", finePar.Stats.IntraWorkers)
 			}
 		})
 	}

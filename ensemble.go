@@ -162,7 +162,6 @@ func runEnsemble(ctx context.Context, sys *System, lanes []ensemble.Lane, opts T
 		return nil, err
 	}
 	base.Ctx = ctx
-	base.LoadMode = 0
 	base.CoreBudget = 0
 	res, err := ensemble.Run(sys, lanes, ensemble.Options{
 		Base:    base,

@@ -98,27 +98,31 @@ func TestZeroBypassTolBitIdentical(t *testing.T) {
 	}
 }
 
-// TestLoadModesThroughFacade: every load mode must yield the same waveform
-// through the public API (colored assembly reassociates row sums, so the
+// TestFineGrainedThroughFacade: the fine-grained scheme (device loads on a
+// pooled gang) must yield the serial waveform through the public API at
+// every gang width (colored assembly reassociates row sums, so the
 // comparison allows the engine's LTE-scale deviation, not bit-identity).
-func TestLoadModesThroughFacade(t *testing.T) {
+func TestFineGrainedThroughFacade(t *testing.T) {
 	ref, err := RunTransient(lowpass(t), TranOptions{TStop: 3e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []LoadMode{LoadAuto, LoadSharded, LoadColored} {
+	for _, threads := range []int{2, 4} {
 		res, err := RunTransient(lowpass(t), TranOptions{
-			TStop: 3e-3, Scheme: FineGrained, Threads: 4, LoadMode: mode,
+			TStop: 3e-3, Scheme: FineGrained, Threads: threads,
 		})
 		if err != nil {
-			t.Fatalf("mode %d: %v", mode, err)
+			t.Fatalf("threads %d: %v", threads, err)
+		}
+		if res.Stats.IntraWorkers != threads {
+			t.Fatalf("threads %d: IntraWorkers = %d, want the gang width", threads, res.Stats.IntraWorkers)
 		}
 		dev, err := Compare(res.W, ref.W, "out")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if dev.RelMax() > 0.02 {
-			t.Fatalf("mode %d deviates by %g", mode, dev.RelMax())
+			t.Fatalf("threads %d deviates by %g", threads, dev.RelMax())
 		}
 	}
 }

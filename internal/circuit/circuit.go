@@ -333,24 +333,15 @@ type Workspace struct {
 	Trace  *trace.Tracer
 	Worker int16
 
-	// ForceParallelLoad makes the colored load spawn real worker goroutines
-	// even on a single-CPU host, where it would otherwise run the color
-	// classes serially (identical results, no spinning). Race tests use it to
-	// exercise the concurrent path regardless of GOMAXPROCS.
-	ForceParallelLoad bool
-
 	// devs, when non-nil, overrides the device list the serial assembly
 	// paths evaluate (see SetDevices in lanes.go — ensemble lane variants).
 	devs []Device
 
-	loadWorkers int
-	loadMode    LoadMode
-	shards      []*shard
-	pool        *sched.Pool
-	evalCtx     EvalCtx   // pooled context for the serial load path
-	wctx        []EvalCtx // pooled per-worker contexts for the colored path
-	colorBar    sched.Barrier
-	iterSave    []float64 // pooled copy of the Newton iterate (bypass guard)
+	pool     *sched.Pool
+	evalCtx  EvalCtx   // pooled context for the serial load path
+	wctx     []EvalCtx // pooled per-worker contexts for the colored path
+	colorBar sched.Barrier
+	iterSave []float64 // pooled copy of the Newton iterate (bypass guard)
 
 	// inc holds the per-workspace incremental-assembly state (linear stamp
 	// template LRU + per-device bypass journals); nil unless SetDeviceBypass
@@ -362,21 +353,15 @@ type Workspace struct {
 // SetPool attaches a gang pool (see internal/sched) to the workspace: device
 // loads run across the pool's workers using the Build-time color classes,
 // and the sparse solver executes its level-scheduled LU kernels on the same
-// gang. The pool's width becomes the load worker count. The caller keeps
-// ownership and must Close the pool when the run ends; a nil pool detaches.
+// gang. The caller keeps ownership and must Close the pool when the run
+// ends; a nil pool detaches.
 //
-// Unlike SetLoadWorkers, attaching a pool never allocates the sharded
-// matrix clones: when the coloring is unprofitable the load simply stays
-// serial, which keeps results independent of the gang width (colored stamps
-// are bit-identical across worker counts; sharded reductions are not).
+// When the coloring is unprofitable at the pool's width the load simply
+// stays serial, which keeps results independent of the gang width (colored
+// stamps are bit-identical across worker counts).
 func (ws *Workspace) SetPool(p *sched.Pool) {
 	ws.pool = p
 	ws.Solver.Sched = p
-	if p.Workers() > 1 {
-		ws.loadWorkers = p.Workers()
-	} else if ws.shards == nil {
-		ws.loadWorkers = 1
-	}
 }
 
 // Pool returns the attached gang pool (nil when serial).
@@ -442,22 +427,14 @@ func (ws *Workspace) Load(x []float64, p LoadParams) {
 		// Incremental assembly covers the serial path only (the profitability
 		// policy in incremental.go); each WavePipe lane loads serially inside
 		// its own workspace, so this is the common pipeline configuration.
-		if ws.loadWorkers <= 1 && ws.loadIncremental(x, p) {
+		if ws.pool.Workers() <= 1 && ws.loadIncremental(x, p) {
 			return
 		}
 		inc.lastBypassed, inc.lastLinear = 0, false
 	}
-	if ws.loadWorkers > 1 {
-		if ws.useColored() {
-			ws.loadColored(x, p)
-			return
-		}
-		if len(ws.shards) > 0 {
-			ws.loadParallel(x, p)
-			return
-		}
-		// Pool-attached workspace whose coloring is unprofitable: the sharded
-		// clones were never allocated, so assemble serially below.
+	if ws.pool.Workers() > 1 && ws.useColored() {
+		ws.colorLoad(x, p)
+		return
 	}
 	ws.M.Zero()
 	for i := range ws.F {

@@ -1,9 +1,6 @@
 package circuit
 
 import (
-	"runtime"
-	"sync"
-
 	"wavepipe/internal/sparse"
 )
 
@@ -11,11 +8,11 @@ import (
 // the devices are partitioned into classes whose members never write the
 // same Jacobian row or F/Q/B row, so each class can be evaluated by several
 // workers stamping directly into the shared Workspace buffers — no private
-// matrix clones to zero, no O(nnz + 3·N)·workers reduction. Classes are
-// separated by a barrier, which makes the per-row accumulation order a pure
-// function of the coloring: results are bit-identical across worker counts
-// (they can differ from the serial device-order load by float addition
-// reassociation, on rows three or more devices share).
+// matrix clones to zero and reduce. Classes are separated by a barrier,
+// which makes the per-row accumulation order a pure function of the
+// coloring: results are bit-identical across worker counts (they can differ
+// from the serial device-order load by float addition reassociation, on
+// rows three or more devices share).
 //
 // The footprint of a device is the union of the rows it named in Reserve and
 // the F/Q/B rows it wrote during a one-shot recording probe at x = 0. The
@@ -23,31 +20,12 @@ import (
 // iterate. Every in-tree device satisfies it (MOSFET drain/source swap
 // permutes values among reserved slots, never outside them). A device that
 // panics during the probe disables coloring for the whole system, and Load
-// falls back to the sharded path.
-
-// LoadMode selects the parallel assembly strategy used when a workspace has
-// more than one load worker.
-type LoadMode int
-
-const (
-	// LoadAuto picks colored direct stamping when the Build-time coloring
-	// looks profitable at the configured worker count, else sharded.
-	LoadAuto LoadMode = iota
-	// LoadSharded forces the shard-and-reduce baseline path.
-	LoadSharded
-	// LoadColored forces colored direct stamping whenever a coloring exists
-	// (sharded remains the fallback when Build could not produce one).
-	LoadColored
-)
-
-// SetLoadMode selects the parallel assembly strategy; it has no effect until
-// SetLoadWorkers enables parallel loading.
-func (ws *Workspace) SetLoadMode(m LoadMode) { ws.loadMode = m }
+// stays on the plain serial path.
 
 // autoColoredThreshold is the minimum estimated class-parallel speedup at
-// which LoadAuto prefers the colored path; below it the coloring is
-// considered degenerate (for example a dense supply node forcing most
-// devices into singleton classes) and the sharded path wins.
+// which a pool-attached workspace uses the colored path; below it the
+// coloring is considered degenerate (for example a dense supply node forcing
+// most devices into singleton classes) and the plain serial load wins.
 func autoColoredThreshold(nw int) float64 {
 	if t := 0.65 * float64(nw); t > 1.3 {
 		return t
@@ -74,18 +52,11 @@ func (s *System) ColoredSpeedupEstimate(nw int) float64 {
 	return float64(devs) / float64(chunks)
 }
 
+// useColored reports whether the coloring is worth running at the attached
+// gang's width.
 func (ws *Workspace) useColored() bool {
-	if len(ws.Sys.colorClasses) == 0 {
-		return false
-	}
-	switch ws.loadMode {
-	case LoadSharded:
-		return false
-	case LoadColored:
-		return true
-	default:
-		return ws.Sys.ColoredSpeedupEstimate(ws.loadWorkers) >= autoColoredThreshold(ws.loadWorkers)
-	}
+	nw := ws.pool.Workers()
+	return ws.Sys.ColoredSpeedupEstimate(nw) >= autoColoredThreshold(nw)
 }
 
 // probeRecorder collects the rows a device writes during the Build-time
@@ -199,8 +170,7 @@ func zeroChunk(v []float64, w, nw int) {
 
 // colorWorker is the per-gang-member body of the colored direct-stamp
 // assembly: zero a share of the shared buffers, then stamp a chunk of every
-// color class, with a barrier between phases. It is shared by the pooled
-// path (persistent sched.Pool workers) and the legacy spawn path.
+// color class, with a barrier between phases.
 func (ws *Workspace) colorWorker(w, nw int, x []float64, p LoadParams) {
 	var sense uint32
 	ctx := &ws.wctx[w]
@@ -242,46 +212,19 @@ func (ws *Workspace) colorWorker(w, nw int, x []float64, p LoadParams) {
 	}
 }
 
-// loadColored performs the colored direct-stamp assembly. With an attached
-// gang pool the phases run on the pool's persistent workers; otherwise, on a
-// single-CPU host it degrades to evaluating the classes serially (same
-// accumulation order, so bit-identical results) unless ForceParallelLoad is
-// set, in which case — and on genuinely multi-core hosts without a pool —
-// it spawns transient worker goroutines per load.
-func (ws *Workspace) loadColored(x []float64, p LoadParams) {
-	if ws.pool.Gang() {
-		ws.loadColoredPooled(x, p)
-		return
-	}
-	if runtime.GOMAXPROCS(0) == 1 && !ws.ForceParallelLoad {
-		ws.loadColoredSerial(x, p)
-		return
-	}
-	nw := ws.loadWorkers
-	for len(ws.wctx) < nw {
-		ws.wctx = append(ws.wctx, EvalCtx{})
-	}
-	ws.colorBar.Reset(int32(nw))
-	var wg sync.WaitGroup
-	for w := 1; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ws.colorWorker(w, nw, x, p)
-		}(w)
-	}
-	ws.colorWorker(0, nw, x, p)
-	wg.Wait()
-	ws.finishColoredParallel(x, p, nw)
-}
-
-// loadColoredPooled runs the colored assembly on the attached gang pool's
-// persistent workers: no goroutine spawn per load, and a panicking device
-// poisons the barrier (freeing the gang) before the pool re-raises the panic
-// on the caller, where the engine's panic fences handle it like any serial
-// device panic.
-func (ws *Workspace) loadColoredPooled(x []float64, p LoadParams) {
+// colorLoad performs the colored direct-stamp assembly on the attached
+// gang pool's persistent workers: no goroutine spawn per load, and a
+// panicking device poisons the barrier (freeing the gang) before the pool
+// re-raises the panic on the caller, where the engine's panic fences handle
+// it like any serial device panic. When the gang cannot run concurrently
+// (see sched.Pool.Gang) the classes are evaluated serially instead, in the
+// same accumulation order, so the stamps are bit-identical.
+func (ws *Workspace) colorLoad(x []float64, p LoadParams) {
 	pool := ws.pool
+	if !pool.Gang() {
+		ws.colorLoadSerial(x, p)
+		return
+	}
 	nw := pool.Workers()
 	for len(ws.wctx) < nw {
 		ws.wctx = append(ws.wctx, EvalCtx{})
@@ -296,12 +239,6 @@ func (ws *Workspace) loadColoredPooled(x []float64, p LoadParams) {
 		}()
 		ws.colorWorker(w, nw, x, p)
 	})
-	ws.finishColoredParallel(x, p, nw)
-}
-
-// finishColoredParallel folds the per-worker limiting flags and applies the
-// coordinator tail of a genuinely parallel colored load.
-func (ws *Workspace) finishColoredParallel(x []float64, p LoadParams, nw int) {
 	ws.Limited = false
 	for w := 0; w < nw; w++ {
 		ws.Limited = ws.Limited || ws.wctx[w].Limited
@@ -309,11 +246,11 @@ func (ws *Workspace) finishColoredParallel(x []float64, p LoadParams, nw int) {
 	ws.finishColored(x, p)
 }
 
-// loadColoredSerial evaluates the color classes in class order on the
+// colorLoadSerial evaluates the color classes in class order on the
 // calling goroutine. The accumulation order matches the parallel path
 // exactly (within a class every row has a single writer), so the stamps are
 // bit-identical.
-func (ws *Workspace) loadColoredSerial(x []float64, p LoadParams) {
+func (ws *Workspace) colorLoadSerial(x []float64, p LoadParams) {
 	classes := ws.Sys.colorClasses
 	devices := ws.Sys.Circuit.devices
 	ws.M.Zero()
@@ -347,8 +284,8 @@ func (ws *Workspace) loadColoredSerial(x []float64, p LoadParams) {
 	ws.finishColored(x, p)
 }
 
-// finishColored applies the coordinator-side tail shared by both colored
-// paths: gmin stepping, nodeset clamps and fault injection.
+// finishColored applies the coordinator-side tail shared by the gang and
+// class-order paths: gmin stepping, nodeset clamps and fault injection.
 func (ws *Workspace) finishColored(x []float64, p LoadParams) {
 	if p.NodeGmin > 0 {
 		for i, slot := range ws.Sys.diagSlots {

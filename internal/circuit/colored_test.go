@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync"
 	"testing"
+
+	"wavepipe/internal/sched"
 )
 
 // buildStubChain makes a chain of n stub conductances: device i bridges
@@ -62,17 +64,38 @@ func TestColoringPartitionsDevices(t *testing.T) {
 	}
 }
 
-// loadInto runs one Load with the given configuration on a fresh workspace
-// and returns it.
-func loadInto(sys *System, mode LoadMode, workers int, force bool, x []float64, p LoadParams) *Workspace {
+// loadSerial runs one plain serial Load on a fresh workspace.
+func loadSerial(sys *System, x []float64, p LoadParams) *Workspace {
 	ws := sys.NewWorkspace()
-	if workers > 1 {
-		ws.SetLoadWorkers(workers)
-		ws.SetLoadMode(mode)
-	}
-	ws.ForceParallelLoad = force
 	ws.Load(x, p)
 	return ws
+}
+
+// loadClassOrder runs one colored assembly in class order on the calling
+// goroutine — the form a pool-attached load degrades to when its gang
+// cannot run concurrently.
+func loadClassOrder(sys *System, x []float64, p LoadParams) *Workspace {
+	ws := sys.NewWorkspace()
+	ws.colorLoadSerial(x, p)
+	return ws
+}
+
+// gangWorkspace returns a fresh workspace with a gang pool of the given
+// width attached; the pool is closed when the test ends.
+func gangWorkspace(t *testing.T, sys *System, width int) *Workspace {
+	t.Helper()
+	pool := sched.NewPool(width)
+	t.Cleanup(pool.Close)
+	ws := sys.NewWorkspace()
+	ws.SetPool(pool)
+	return ws
+}
+
+// forceGang drives every pool concurrently, even on a single-CPU host,
+// until the test ends.
+func forceGang(t *testing.T) {
+	sched.ForceGang.Store(true)
+	t.Cleanup(func() { sched.ForceGang.Store(false) })
 }
 
 func assertStampsEqual(t *testing.T, a, b *Workspace, tol float64, what string) {
@@ -97,9 +120,10 @@ func assertStampsEqual(t *testing.T, a, b *Workspace, tol float64, what string) 
 }
 
 // TestColoredLoadMatchesSerial compares the colored direct-stamp assembly
-// (both the degraded serial-class-order path and the true parallel path)
+// (both the degraded serial-class-order path and the pooled gang path)
 // against the plain serial load.
 func TestColoredLoadMatchesSerial(t *testing.T) {
+	forceGang(t)
 	_, sys := buildStubChain(t, 37)
 	x := make([]float64, sys.N)
 	for i := range x {
@@ -107,9 +131,13 @@ func TestColoredLoadMatchesSerial(t *testing.T) {
 	}
 	p := LoadParams{Alpha0: 1e3, SrcScale: 0.7, NodeGmin: 1e-6}
 
-	serial := loadInto(sys, LoadAuto, 1, false, x, p)
-	colored := loadInto(sys, LoadColored, 4, false, x, p)
-	parallel := loadInto(sys, LoadColored, 4, true, x, p)
+	serial := loadSerial(sys, x, p)
+	colored := loadClassOrder(sys, x, p)
+	parallel := gangWorkspace(t, sys, 4)
+	if !parallel.useColored() {
+		t.Fatal("chain coloring judged unprofitable at 4 workers")
+	}
+	parallel.Load(x, p)
 	assertStampsEqual(t, serial, colored, 1e-12, "colored vs serial")
 	assertStampsEqual(t, serial, parallel, 1e-12, "parallel colored vs serial")
 
@@ -127,11 +155,13 @@ func TestColoredLoadMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestColoredDegenerateFallsBackToSharded builds a star: every device ties
-// its own node to the shared hub, so all devices conflict, every class is a
-// singleton and the estimated class-parallel speedup is 1 — LoadAuto must
-// prefer the sharded path, while forcing LoadColored stays correct.
-func TestColoredDegenerateFallsBackToSharded(t *testing.T) {
+// TestColoredDegenerateStaysSerial builds a star: every device ties its own
+// node to the shared hub, so all devices conflict, every class is a
+// singleton and the estimated class-parallel speedup is 1. A pool-attached
+// workspace must stay on the plain serial load (bit-identical stamps), and
+// the class-order assembly of that coloring must still be correct.
+func TestColoredDegenerateStaysSerial(t *testing.T) {
+	forceGang(t)
 	c := New("star")
 	hub := c.Node("hub")
 	for i := 0; i < 12; i++ {
@@ -145,60 +175,54 @@ func TestColoredDegenerateFallsBackToSharded(t *testing.T) {
 	if est := sys.ColoredSpeedupEstimate(4); est > 1.01 {
 		t.Fatalf("star speedup estimate = %g, want ~1", est)
 	}
-	auto := sys.NewWorkspace()
-	auto.SetLoadWorkers(4)
-	if auto.useColored() {
-		t.Fatal("LoadAuto chose colored for a degenerate star coloring")
+	pooled := gangWorkspace(t, sys, 4)
+	if pooled.useColored() {
+		t.Fatal("pool-attached workspace chose colored for a degenerate star coloring")
 	}
 	x := make([]float64, sys.N)
 	for i := range x {
 		x[i] = 0.05 * float64(i)
 	}
 	p := LoadParams{Alpha0: 10, SrcScale: 1}
-	serial := loadInto(sys, LoadAuto, 1, false, x, p)
-	forced := loadInto(sys, LoadColored, 4, true, x, p)
-	assertStampsEqual(t, serial, forced, 1e-12, "forced colored star")
+	pooled.Load(x, p)
+	serial := loadSerial(sys, x, p)
+	assertStampsEqual(t, serial, pooled, 0, "pool-attached star")
+	assertStampsEqual(t, serial, loadClassOrder(sys, x, p), 1e-12, "class-order star")
 }
 
 // TestColoredLoadConcurrentWorkspaces drives several workspaces through the
-// parallel colored path at once, the sharing pattern of the pipeline
-// engines; run under -race this checks the barrier discipline.
+// pooled colored path at once, the sharing pattern of the pipeline engines;
+// run under -race this checks the barrier discipline.
 func TestColoredLoadConcurrentWorkspaces(t *testing.T) {
+	forceGang(t)
 	_, sys := buildStubChain(t, 24)
 	x := make([]float64, sys.N)
 	for i := range x {
 		x[i] = 0.02 * float64(i%11)
 	}
 	p := LoadParams{Alpha0: 1e6, SrcScale: 1}
-	ref := loadInto(sys, LoadAuto, 1, false, x, p)
+	ref := loadSerial(sys, x, p)
 
 	var wg sync.WaitGroup
 	results := make([]*Workspace, 6)
 	for w := range results {
+		results[w] = gangWorkspace(t, sys, 3)
 		wg.Add(1)
-		go func(w int) {
+		go func(ws *Workspace) {
 			defer wg.Done()
-			ws := sys.NewWorkspace()
-			ws.SetLoadWorkers(3)
-			ws.SetLoadMode(LoadColored)
-			ws.ForceParallelLoad = true
 			for rep := 0; rep < 25; rep++ {
 				ws.Load(x, p)
 			}
-			results[w] = ws
-		}(w)
+		}(results[w])
 	}
 	wg.Wait()
-	for w, ws := range results {
-		if ws == nil {
-			t.Fatalf("worker %d produced no workspace", w)
-		}
+	for _, ws := range results {
 		assertStampsEqual(t, ref, ws, 1e-12, "concurrent colored load")
 	}
 }
 
 // TestColoredSpeedupEstimateChain sanity-checks the profitability estimate
-// the LoadAuto policy ranks colorings with: a long two-colorable chain
+// the pool-attached load gates colorings with: a long two-colorable chain
 // should parallelize nearly ideally.
 func TestColoredSpeedupEstimateChain(t *testing.T) {
 	_, sys := buildStubChain(t, 64)

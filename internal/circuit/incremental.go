@@ -34,8 +34,8 @@
 //     plain path,
 //   - a load with bypassed evaluations is never allowed to be the iteration
 //     that declares convergence (enforced in internal/newton),
-//   - the engine covers the serial load path only; parallel colored/sharded
-//     loads are left untouched.
+//   - the engine covers the serial load path only; pool-attached
+//     workspaces are left untouched.
 package circuit
 
 import (

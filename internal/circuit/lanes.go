@@ -18,9 +18,9 @@ import (
 //     host (same node names in order, same device sequence with the same
 //     branch/state arity, same Reserve footprint), so every lane device
 //     holds slot ids valid on any clone of the host pattern.
-//   - Lane workspaces assemble serially (no pool, no sharded clones, no
-//     device bypass), so per-lane results are bit-identical to a serial
-//     run of the same variant.
+//   - Lane workspaces assemble serially (no pool, no device bypass), so
+//     per-lane results are bit-identical to a serial run of the same
+//     variant.
 
 // SetDevices overrides the device list this workspace's serial assembly
 // paths evaluate, so a lane workspace compiled against the host pattern

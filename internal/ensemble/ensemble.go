@@ -60,9 +60,6 @@ type Options struct {
 	// Workers is the lane-gang width, caller included (the shared core
 	// budget). 0 selects min(K, max(2, NumCPU)).
 	Workers int
-	// ForceGang spawns real gang goroutines even on a single-CPU host
-	// (race tests); production runs leave it false and let the pool decide.
-	ForceGang bool
 	// Trace receives the run's event stream: per-lane solve/accept/reject
 	// events (Worker = lane index) and one KindLaneRetire per lane.
 	Trace *trace.Tracer
@@ -198,9 +195,6 @@ func Run(sys *circuit.System, lanes []Lane, opts Options) (*Result, error) {
 	budget.Reserve(1) // the caller is the gang leader
 	pool := budget.NewPool(width)
 	defer pool.Close()
-	if opts.ForceGang && pool != nil {
-		pool.Force = true
-	}
 
 	e := &engine{
 		sys: sys, base: base, ctrl: base.Control, tr: opts.Trace,

@@ -12,6 +12,7 @@ import (
 	"wavepipe/internal/circuits"
 	"wavepipe/internal/device"
 	"wavepipe/internal/faults"
+	"wavepipe/internal/sched"
 	"wavepipe/internal/transient"
 )
 
@@ -171,16 +172,17 @@ func TestFaultedLaneRetiresWithoutStallingGang(t *testing.T) {
 	}
 }
 
-// ForceGang spawns real worker goroutines even on one CPU; under -race
+// sched.ForceGang runs the gang concurrently even on one CPU; under -race
 // this exercises the lockstep rounds for data races. The pool must not
 // leak goroutines after Run returns.
 func TestLockstepGangRace(t *testing.T) {
+	sched.ForceGang.Store(true)
+	defer sched.ForceGang.Store(false)
 	before := runtime.NumGoroutine()
 	lanes := ladderLanes(6, 12, 0.6)
 	res, err := Run(hostFor(t, lanes), lanes, Options{
-		Base:      transient.Options{TStop: 8e-9},
-		Workers:   3,
-		ForceGang: true,
+		Base:    transient.Options{TStop: 8e-9},
+		Workers: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -24,14 +24,15 @@ import (
 // guards against absurd -cores values creating thousands of spinners.
 const maxGang = 64
 
-// ForceGang is the package-wide analogue of Pool.Force: while true, every
-// pool's Gang() reports true regardless of GOMAXPROCS. Equivalence tests use
-// it to drive the concurrent kernels bitwise-identically on single-CPU hosts
-// where raising GOMAXPROCS above the hardware thread count would push the
-// spin barriers into OS time-slicing (milliseconds per crossing); with
-// GOMAXPROCS=1 the gang round-robins cooperatively through Gosched instead.
-// Not for production use: a forced gang on one CPU is strictly slower than
-// the degraded sequential sweep.
+// ForceGang is the one switch that drives gangs concurrently where they
+// would otherwise degrade: while true, every pool's Gang() reports true
+// regardless of GOMAXPROCS. Race and equivalence tests set it, and reset it
+// when they finish, to drive the concurrent kernels bitwise-identically on
+// single-CPU hosts. Raising GOMAXPROCS above the hardware thread count
+// instead would push the spin barriers into OS time-slicing (milliseconds
+// per crossing); with GOMAXPROCS=1 the gang round-robins cooperatively
+// through Gosched. Not for production use: a forced gang on one CPU is
+// strictly slower than the degraded sequential sweep.
 var ForceGang atomic.Bool
 
 // Pool is a gang of persistent workers. Run(fn) executes fn(w) for
@@ -47,10 +48,6 @@ type Pool struct {
 	n     int              // gang width including the caller
 	tasks []chan func(int) // one per hired worker (n-1)
 	wg    sync.WaitGroup
-
-	// Force makes Gang() report true even on GOMAXPROCS=1 hosts, so race
-	// tests can drive the concurrent paths on single-CPU machines.
-	Force bool
 
 	mu     sync.Mutex
 	pv     any // first panic recovered from a gang member
@@ -94,10 +91,10 @@ func (p *Pool) Workers() int {
 
 // Gang reports whether Run will actually execute the gang concurrently.
 // On a single-CPU host (GOMAXPROCS=1) spinning gang members would only slow
-// the caller down, so Run degrades to a sequential sweep unless Force is set;
-// kernels use Gang to pick between their concurrent and serial forms.
+// the caller down, so Run degrades to a sequential sweep unless ForceGang is
+// set; kernels use Gang to pick between their concurrent and serial forms.
 func (p *Pool) Gang() bool {
-	return p != nil && p.n > 1 && (p.Force || ForceGang.Load() || runtime.GOMAXPROCS(0) > 1)
+	return p != nil && p.n > 1 && (ForceGang.Load() || runtime.GOMAXPROCS(0) > 1)
 }
 
 // Run executes fn(w) for every worker w in [0, Workers()) and returns once

@@ -8,14 +8,15 @@ import (
 )
 
 // TestPoolRunCoversAllWorkers checks every worker index runs exactly once
-// per gang, across many gangs, with Force so the concurrent path is
+// per gang, across many gangs, with ForceGang so the concurrent path is
 // exercised even on a single-CPU host (and under -race).
 func TestPoolRunCoversAllWorkers(t *testing.T) {
+	ForceGang.Store(true)
+	defer ForceGang.Store(false)
 	p := NewPool(4)
 	if p == nil {
 		t.Fatal("NewPool(4) returned nil")
 	}
-	p.Force = true
 	defer p.Close()
 	hits := make([]atomic.Int64, p.Workers())
 	const gangs = 200
@@ -32,8 +33,9 @@ func TestPoolRunCoversAllWorkers(t *testing.T) {
 // TestPoolBarrierStress drives a barrier-synchronized kernel (the shape the
 // LU and colored-load kernels use) through many phases under -race.
 func TestPoolBarrierStress(t *testing.T) {
+	ForceGang.Store(true)
+	defer ForceGang.Store(false)
 	p := NewPool(4)
-	p.Force = true
 	defer p.Close()
 	var bar Barrier
 	const phases = 50
@@ -69,8 +71,9 @@ func TestPoolBarrierStress(t *testing.T) {
 // TestPoolPanicPropagates checks a gang member's panic is re-raised on the
 // caller after the gang drains, and that the pool is reusable afterwards.
 func TestPoolPanicPropagates(t *testing.T) {
+	ForceGang.Store(true)
+	defer ForceGang.Store(false)
 	p := NewPool(3)
-	p.Force = true
 	defer p.Close()
 	var bar Barrier
 	for _, bad := range []int{0, 1, 2} {
@@ -119,7 +122,7 @@ func TestPoolDegradesSequentially(t *testing.T) {
 		t.Fatalf("nil pool: Workers=%d Gang=%v", nilPool.Workers(), nilPool.Gang())
 	}
 	if runtime.GOMAXPROCS(0) == 1 {
-		p := NewPool(3) // Force unset: degrades on a 1-CPU host
+		p := NewPool(3) // ForceGang unset: degrades on a 1-CPU host
 		defer p.Close()
 		if p.Gang() {
 			t.Skip("GOMAXPROCS changed concurrently")
@@ -178,10 +181,11 @@ func TestBudgetInvariant(t *testing.T) {
 // TestPoolNoGoroutineLeak runs gangs on several pools, closes them, and
 // checks the goroutine count returns to its baseline.
 func TestPoolNoGoroutineLeak(t *testing.T) {
+	ForceGang.Store(true)
+	defer ForceGang.Store(false)
 	before := runtime.NumGoroutine()
 	for i := 0; i < 8; i++ {
 		p := NewPool(4)
-		p.Force = true
 		var n atomic.Int64
 		p.Run(func(w int) { n.Add(1) })
 		p.Run(func(w int) { n.Add(1) })

@@ -64,14 +64,19 @@ func tridiagMatrix(n int) *Matrix {
 	return m
 }
 
+// forcedPool returns a gang of width n that runs concurrently (see
+// sched.ForceGang) until the test ends.
 func forcedPool(t *testing.T, n int) *sched.Pool {
 	t.Helper()
 	p := sched.NewPool(n)
 	if p == nil {
 		t.Fatalf("NewPool(%d) = nil", n)
 	}
-	p.Force = true
-	t.Cleanup(p.Close)
+	sched.ForceGang.Store(true)
+	t.Cleanup(func() {
+		sched.ForceGang.Store(false)
+		p.Close()
+	})
 	return p
 }
 

@@ -57,18 +57,20 @@ type Options struct {
 	NoLTE bool
 	// GrowthCapOverride, when > 0, replaces Control.GrowthCap (ablation).
 	GrowthCapOverride float64
-	// LoadWorkers > 1 enables fine-grained parallel device evaluation
-	// inside every assembly pass (the conventional parallel-SPICE baseline).
+	// LoadWorkers > 1 attaches a gang of that width to the point solver
+	// regardless of system size: the fine-grained parallel device evaluation
+	// of the conventional parallel-SPICE baseline, run as colored direct
+	// stamping (plus the level-scheduled LU kernels) on the gang. A
+	// CoreBudget, when set, caps the width.
 	LoadWorkers int
 	// CoreBudget > 1 attaches a shared worker gang to the point solver:
 	// colored device loads and the level-scheduled sparse LU kernels run on
-	// one pool of CoreBudget cores (caller included). Results are bit-
-	// identical to the serial path. 0/1 keeps everything serial. Small
-	// systems stay serial regardless (see IntraProfitable).
+	// one pool of CoreBudget cores (caller included). Results are
+	// bit-identical across GOMAXPROCS at a fixed budget, and agree with the
+	// unbudgeted run within the LTE band (the colored load reassociates row
+	// sums). 0/1 keeps everything serial. Small systems stay serial
+	// regardless (see IntraProfitable).
 	CoreBudget int
-	// LoadMode selects the parallel assembly strategy when LoadWorkers > 1:
-	// automatic, shard-and-reduce, or colored direct stamping.
-	LoadMode circuit.LoadMode
 	// BypassTol > 0 enables Newton factorization bypass: when no Jacobian
 	// value moved by more than this relative tolerance since the last real
 	// factorization, the LU is reused (the accepted final iterate of every
@@ -778,6 +780,30 @@ func IntraProfitable(sys *circuit.System) bool {
 	return sys.N >= 96 && len(sys.Circuit.Devices()) >= 128
 }
 
+// intraPool returns the gang the serial engine's point solver runs on, or
+// nil for a serial solver. LoadWorkers asks for a gang explicitly and skips
+// the IntraProfitable gate; otherwise a CoreBudget > 1 gives its whole
+// budget to the gang of a large enough system. A CoreBudget caps either
+// width.
+func intraPool(sys *circuit.System, opts Options) *sched.Pool {
+	gang := 1
+	switch {
+	case opts.LoadWorkers > 1:
+		gang = opts.LoadWorkers
+	case opts.CoreBudget > 1 && IntraProfitable(sys):
+		gang = opts.CoreBudget
+	}
+	if gang <= 1 {
+		return nil
+	}
+	if opts.CoreBudget <= 0 {
+		return sched.NewPool(gang)
+	}
+	budget := sched.NewBudget(opts.CoreBudget)
+	budget.Reserve(1) // this goroutine is the gang leader
+	return budget.NewPool(gang)
+}
+
 // Run executes the serial adaptive transient analysis.
 func Run(sys *circuit.System, opts Options) (result *Result, runErr error) {
 	if opts.TStop <= 0 {
@@ -793,23 +819,15 @@ func Run(sys *circuit.System, opts Options) (result *Result, runErr error) {
 	ps.WS.Solver.BypassTol = opts.BypassTol
 	ps.WS.SetDeviceBypass(opts.DeviceBypassTol, 0)
 	ps.SetTrace(tr, 0)
-	if opts.LoadWorkers > 1 {
-		ps.WS.SetLoadWorkers(opts.LoadWorkers)
-		ps.WS.SetLoadMode(opts.LoadMode)
-	}
 	if opts.CoreBudget > 0 {
 		ps.Stats.CoreBudget = opts.CoreBudget
 		ps.Stats.PipelineWorkers = 1
 		ps.Stats.IntraWorkers = 1
 	}
-	if opts.CoreBudget > 1 && IntraProfitable(sys) {
-		budget := sched.NewBudget(opts.CoreBudget)
-		budget.Reserve(1) // this goroutine is the gang leader
-		if pool := budget.NewPool(opts.CoreBudget); pool != nil {
-			defer pool.Close()
-			ps.WS.SetPool(pool)
-			ps.Stats.IntraWorkers = pool.Workers()
-		}
+	if pool := intraPool(sys, opts); pool != nil {
+		defer pool.Close()
+		ps.WS.SetPool(pool)
+		ps.Stats.IntraWorkers = pool.Workers()
 	}
 	rl := &RecoveryLog{}
 	var base Stats // totals of run segments before a resume

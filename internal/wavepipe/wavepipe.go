@@ -161,10 +161,6 @@ func Run(sys *circuit.System, opts Options) (result *transient.Result, runErr er
 		s := transient.NewPointSolver(sys, base.Method, base.Newton, base.Gmin)
 		s.WS.Faults = base.Faults
 		s.WS.Abort = e.guard.AbortFlag()
-		if base.LoadWorkers > 1 {
-			s.WS.SetLoadWorkers(base.LoadWorkers)
-			s.WS.SetLoadMode(base.LoadMode)
-		}
 		if e.intra > 1 {
 			// NewPool grants whatever the budget still covers; a nil pool
 			// (budget exhausted) just leaves this solver serial inside.

@@ -136,20 +136,6 @@ const (
 	PMOS = device.PMOS
 )
 
-// LoadMode selects the parallel device-assembly strategy.
-type LoadMode = circuit.LoadMode
-
-// Parallel assembly strategies (see TranOptions.LoadMode).
-const (
-	// LoadAuto chooses colored stamping when the conflict coloring predicts
-	// a speedup, sharded accumulation otherwise (the default).
-	LoadAuto = circuit.LoadAuto
-	// LoadSharded always uses per-worker matrix shards with a reduction.
-	LoadSharded = circuit.LoadSharded
-	// LoadColored always uses conflict-colored direct stamping.
-	LoadColored = circuit.LoadColored
-)
-
 // Method selects the implicit integration formula.
 type Method = integrate.Method
 
@@ -222,32 +208,6 @@ func ParseMethod(s string) (Method, error) {
 		return BackwardEuler, nil
 	default:
 		return 0, fmt.Errorf("wavepipe: unknown method %q (be, trap, gear2)", s)
-	}
-}
-
-// LoadModeName returns the assembly-strategy name ParseLoadMode inverts.
-func LoadModeName(m LoadMode) string {
-	switch m {
-	case LoadSharded:
-		return "sharded"
-	case LoadColored:
-		return "colored"
-	default:
-		return "auto"
-	}
-}
-
-// ParseLoadMode maps an assembly-strategy name back to the value.
-func ParseLoadMode(s string) (LoadMode, error) {
-	switch s {
-	case "auto", "":
-		return LoadAuto, nil
-	case "sharded":
-		return LoadSharded, nil
-	case "colored":
-		return LoadColored, nil
-	default:
-		return 0, fmt.Errorf("wavepipe: unknown load mode %q (auto, sharded, colored)", s)
 	}
 }
 
@@ -396,8 +356,8 @@ type TranOptions struct {
 	TStop float64
 	// Scheme selects the engine (default Serial).
 	Scheme Scheme
-	// Threads is the worker count for the WavePipe schemes and the shard
-	// count for FineGrained (default: scheme-specific, 2–3).
+	// Threads is the worker count for the WavePipe schemes and the device-
+	// load gang width for FineGrained (default: scheme-specific, 2–3).
 	Threads int
 	// Method is the integration formula (default Gear2).
 	Method Method
@@ -420,12 +380,6 @@ type TranOptions struct {
 	DeltaRatio float64
 	// AggressiveGrowth enables the per-point growth-cap credit (ablation).
 	AggressiveGrowth bool
-	// LoadMode selects the parallel device-assembly strategy when the engine
-	// evaluates devices with multiple workers (FineGrained, or WavePipe
-	// schemes on top of parallel load): LoadAuto picks colored direct
-	// stamping when the circuit's conflict coloring predicts a speedup and
-	// falls back to sharded accumulation otherwise.
-	LoadMode LoadMode
 	// BypassTol enables Newton factorization bypass: when the largest
 	// relative change of any Jacobian entry since the last factorization is
 	// below this tolerance, the previous LU factors are reused for the
@@ -446,8 +400,10 @@ type TranOptions struct {
 	// pipeline worker and split the remainder into per-solver gangs that
 	// run colored device loads and the level-scheduled LU kernels; the
 	// serial engine puts the whole budget into one intra-point gang.
-	// Results are bit-identical to the serial path at every budget. 0 (the
-	// default) leaves scheduling unmanaged, as in earlier releases.
+	// Results are bit-identical across GOMAXPROCS at a fixed budget, and
+	// agree with the unmanaged run within the LTE band (the colored load
+	// reassociates row sums). 0 (the default) leaves scheduling unmanaged,
+	// as in earlier releases.
 	CoreBudget int
 	// Windows > 1 enables time-parallel simulation (pipelined Parareal):
 	// a cheap coarse propagator sweeps [0, TStop] once to seed Windows
@@ -939,7 +895,6 @@ func baseOptions(sys *System, opts TranOptions) (transient.Options, error) {
 		HInit:      opts.InitStep,
 		UIC:        opts.UIC,
 		Faults:     opts.Faults,
-		LoadMode:   opts.LoadMode,
 		BypassTol:  opts.BypassTol,
 		CoreBudget: opts.CoreBudget,
 		OnAccept:   opts.OnAccept,

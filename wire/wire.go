@@ -7,7 +7,7 @@
 // rejects both unknown fields and version mismatches — a client from the
 // future fails loudly instead of silently dropping options it meant to set.
 // Enumerations travel as their stable string names (Scheme.String,
-// Method.String, LoadModeName) and durations as Go duration strings, so
+// Method.String) and durations as Go duration strings, so
 // documents stay readable and diffable.
 package wire
 
@@ -44,7 +44,6 @@ type TranOptions struct {
 	Record           []string           `json:"record,omitempty"`
 	DeltaRatio       float64            `json:"deltaRatio,omitempty"`
 	AggressiveGrowth bool               `json:"aggressiveGrowth,omitempty"`
-	LoadMode         string             `json:"loadMode,omitempty"`
 	BypassTol        float64            `json:"bypassTol,omitempty"`
 	DeviceBypass     bool               `json:"deviceBypass,omitempty"`
 	CoreBudget       int                `json:"coreBudget,omitempty"`
@@ -102,9 +101,6 @@ func FromTranOptions(o wavepipe.TranOptions) TranOptions {
 	if o.Method != wavepipe.Gear2 {
 		w.Method = o.Method.String()
 	}
-	if o.LoadMode != wavepipe.LoadAuto {
-		w.LoadMode = wavepipe.LoadModeName(o.LoadMode)
-	}
 	if o.Deadline > 0 {
 		w.Deadline = o.Deadline.String()
 	}
@@ -148,9 +144,6 @@ func (w TranOptions) ToTranOptions() (wavepipe.TranOptions, error) {
 		return o, err
 	}
 	if o.Method, err = wavepipe.ParseMethod(w.Method); err != nil {
-		return o, err
-	}
-	if o.LoadMode, err = wavepipe.ParseLoadMode(w.LoadMode); err != nil {
 		return o, err
 	}
 	if w.Deadline != "" {

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -47,8 +48,7 @@ func TestJobRequestGoldenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Scheme != wavepipe.Combined || opts.Method != wavepipe.Trapezoidal ||
-		opts.LoadMode != wavepipe.LoadColored {
+	if opts.Scheme != wavepipe.Combined || opts.Method != wavepipe.Trapezoidal {
 		t.Fatalf("enum decode: scheme=%v method=%v", opts.Scheme, opts.Method)
 	}
 	if opts.Deadline.Seconds() != 30 {
@@ -128,6 +128,29 @@ func TestUnknownFieldRejected(t *testing.T) {
 	doc = `{"schemaVersion":1,"deck":"x","options":{"tstop":1,"bogus":2}}`
 	if _, err := DecodeJobRequest(strings.NewReader(doc)); err == nil {
 		t.Fatal("unknown option field accepted")
+	}
+}
+
+// TestRetiredOptionRejected: a request naming an option field the schema
+// no longer carries fails with the strict decoder's unknown-field error,
+// and the error names the field. The fixture's options object holds
+// exactly that one retired field.
+func TestRetiredOptionRejected(t *testing.T) {
+	doc := readGolden(t, "retired_option.json")
+	var raw struct {
+		Options map[string]json.RawMessage `json:"options"`
+	}
+	if err := json.Unmarshal(doc, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if len(raw.Options) != 1 {
+		t.Fatalf("fixture carries %d options, want exactly the retired one", len(raw.Options))
+	}
+	for field := range raw.Options {
+		_, err := DecodeJobRequest(bytes.NewReader(doc))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown field %q", field)) {
+			t.Fatalf("retired option %q: err = %v, want an unknown-field error naming it", field, err)
+		}
 	}
 }
 
