@@ -403,11 +403,11 @@ func run(ctx context.Context, cfg runConfig) error {
 	}
 	if cfg.stats {
 		fmt.Fprintf(os.Stderr,
-			"wavesim: %s | scheme=%s points=%d stages=%d nr-iters=%d lte-rejects=%d discarded=%d recoveries=%d full-factor=%d refactor=%d bypassed=%d wall=%s\n",
+			"wavesim: %s | scheme=%s points=%d stages=%d nr-iters=%d lte-rejects=%d discarded=%d recoveries=%d full-factor=%d refactor=%d reused=%d bypassed=%d wall=%s\n",
 			deck.Title, cfg.scheme, res.Stats.Points, res.Stats.Stages,
 			res.Stats.NRIters, res.Stats.LTERejects, res.Stats.Discarded,
 			res.Stats.Recoveries, res.Stats.FullFactorizations, res.Stats.Refactorizations,
-			res.Stats.BypassedFactorizations, wall.Round(time.Microsecond))
+			res.Stats.ReusedFactorizations, res.Stats.BypassedFactorizations, wall.Round(time.Microsecond))
 		if cfg.devBypass {
 			fmt.Fprintf(os.Stderr,
 				"wavesim: device bypass: bypassed-evals=%d linear-stamp-hits=%d\n",

@@ -36,8 +36,9 @@ import (
 // Format versioning.
 const (
 	// Version is the current checkpoint format version. Version 2 dropped
-	// the modeled critical-path time from the stats block.
-	Version = 2
+	// the modeled critical-path time from the stats block; version 3 added
+	// the reused-factorization count to it.
+	Version = 3
 )
 
 // magic identifies a WavePipe checkpoint file.
@@ -98,6 +99,7 @@ type Stats struct {
 	WorkerPanics           int64
 	DegradedStages         int64
 	BypassedFactorizations int64
+	ReusedFactorizations   int64
 	Refactorizations       int64
 	FullFactorizations     int64
 	BypassedEvals          int64

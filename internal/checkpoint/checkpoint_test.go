@@ -63,7 +63,7 @@ func testState(t *testing.T) *State {
 		LU:    testLU(t),
 		Stats: Stats{
 			Points: 3, Solves: 5, NRIters: 12, LTERejects: 1, Stages: 5,
-			Recoveries: 1, CoreBudget: 4,
+			Recoveries: 1, CoreBudget: 4, Refactorizations: 7, ReusedFactorizations: 6,
 			PipelineWorkers: 2, IntraWorkers: 2, PipelineSerialized: true,
 		},
 		Recovery: []RecoveryEvent{
@@ -149,16 +149,19 @@ func TestDecodeCorrupted(t *testing.T) {
 	}
 }
 
-// TestDecodeWrongVersion feeds a version-1 header: v1 files carried the
-// since-removed modeled-time stats slot and must be refused, not misread.
+// TestDecodeWrongVersion feeds older headers: v1 files carried the
+// since-removed modeled-time stats slot and v2 files lack the
+// reused-factorization slot, so both must be refused, not misread.
 func TestDecodeWrongVersion(t *testing.T) {
 	data := Encode(testState(t))
-	mut := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(mut[4:8], 1)
-	_, err := Decode(mut)
-	wantBadCheckpoint(t, err, "wrong version")
-	if !strings.Contains(err.Error(), "version") {
-		t.Fatalf("error %v does not mention the version", err)
+	for _, v := range []uint32{1, 2} {
+		mut := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint32(mut[4:8], v)
+		_, err := Decode(mut)
+		wantBadCheckpoint(t, err, "wrong version")
+		if !strings.Contains(err.Error(), "version") {
+			t.Fatalf("v%d: error %v does not mention the version", v, err)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 	"wavepipe/internal/sparse"
 )
 
-// Binary layout (version 2), everything little-endian:
+// Binary layout (version 3), everything little-endian:
 //
 //	magic "WPCP" · u32 version · payload · u32 CRC32(IEEE, payload)
 //
@@ -278,22 +278,24 @@ func encodeSizeHint(s *State) int {
 }
 
 // fields returns the int64 stats in their fixed wire order.
-func (st *Stats) fields() [19]int64 {
-	return [19]int64{
+func (st *Stats) fields() [20]int64 {
+	return [20]int64{
 		st.Points, st.Solves, st.NRIters, st.LTERejects, st.NRFailures,
 		st.Discarded, st.OpIters, st.Stages, st.Recoveries, st.WorkerPanics,
 		st.DegradedStages, st.BypassedFactorizations, st.Refactorizations,
 		st.FullFactorizations, st.BypassedEvals, st.LinearStampHits,
 		st.CoreBudget, st.PipelineWorkers, st.IntraWorkers,
+		st.ReusedFactorizations,
 	}
 }
 
-func (st *Stats) setFields(v [19]int64) {
+func (st *Stats) setFields(v [20]int64) {
 	st.Points, st.Solves, st.NRIters, st.LTERejects, st.NRFailures = v[0], v[1], v[2], v[3], v[4]
 	st.Discarded, st.OpIters, st.Stages, st.Recoveries, st.WorkerPanics = v[5], v[6], v[7], v[8], v[9]
 	st.DegradedStages, st.BypassedFactorizations, st.Refactorizations = v[10], v[11], v[12]
 	st.FullFactorizations, st.BypassedEvals, st.LinearStampHits = v[13], v[14], v[15]
 	st.CoreBudget, st.PipelineWorkers, st.IntraWorkers = v[16], v[17], v[18]
+	st.ReusedFactorizations = v[19]
 }
 
 // Decode parses and validates a checkpoint. Every failure — truncation,
@@ -336,7 +338,7 @@ func Decode(data []byte) (*State, error) {
 	s.Warmup = int(d.u32())
 	s.Generation = d.u64()
 
-	var sf [19]int64
+	var sf [20]int64
 	for i := range sf {
 		sf[i] = d.i64()
 	}

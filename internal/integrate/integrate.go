@@ -295,6 +295,7 @@ func DefaultControl(tstop float64) Control {
 // use; one scratch serves one goroutine.
 type LTEScratch struct {
 	ts, ys, dd []float64
+	st         num.Stencil
 }
 
 func (s *LTEScratch) ensure(n int) {
@@ -337,6 +338,27 @@ func DerivNormWith(pts []*Point, order int, tol num.Tolerances, s *LTEScratch) f
 		fact *= float64(i)
 	}
 	maxNorm := 0.0
+	if len(pts) <= num.MaxStencil {
+		// Fixed-size kernel: denominators computed once, each unknown
+		// differenced on a stack array, no gather through pts.
+		s.st.Set(ts)
+		var xs [num.MaxStencil][]float64
+		for j, p := range pts {
+			xs[j] = p.X[:nUnk]
+		}
+		var c [num.MaxStencil]float64 // c[:len(pts)] is rewritten per unknown
+		for i, r := range ref {
+			for j := range pts {
+				c[j] = xs[j][i]
+			}
+			s.st.Divide(&c)
+			d := c[k] * fact // ≈ x_i^(k)
+			if v := math.Abs(d) / tol.Weight(r); v > maxNorm {
+				maxNorm = v
+			}
+		}
+		return maxNorm
+	}
 	for i := 0; i < nUnk; i++ {
 		for j, p := range pts {
 			ys[j] = p.X[i]

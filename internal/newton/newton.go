@@ -232,7 +232,8 @@ func factorAndSolve(ws *circuit.Workspace, at float64, r, dx []float64, forceFre
 
 // factorAndSolveTraced is the observed twin of factorAndSolve: it splits the
 // linear-solve work into a factorization span (flagged when the bypass
-// policy reused the previous LU) and a triangular-solve span.
+// policy kept a stale LU, or when unchanged values kept an exact one) and a
+// triangular-solve span.
 func factorAndSolveTraced(ws *circuit.Workspace, at float64, r, dx []float64, forceFresh bool) error {
 	t0 := time.Now()
 	var err error
@@ -247,6 +248,9 @@ func factorAndSolveTraced(ws *circuit.Workspace, at float64, r, dx []float64, fo
 	}
 	if ws.Solver.LastBypassed {
 		ev.Flags |= trace.FlagBypassed
+	}
+	if ws.Solver.LastReused {
+		ev.Flags |= trace.FlagReused
 	}
 	if err != nil {
 		ev.Flags |= trace.FlagFailed

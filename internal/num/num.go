@@ -125,6 +125,46 @@ func DividedDifferencesInto(ts, ys, c []float64) {
 	}
 }
 
+// MaxStencil is the largest number of sample times the fixed-size
+// divided-difference kernel (Stencil) handles; longer stencils take the
+// slice loop of DividedDifferencesInto.
+const MaxStencil = 8
+
+// Stencil holds the divided-difference denominators ts[i]-ts[i-k] of up to
+// MaxStencil sample times. Engines that difference every unknown of a
+// solution vector over one set of times compute them once per call rather
+// than once per unknown.
+type Stencil struct {
+	n   int
+	den [MaxStencil][MaxStencil]float64 // den[k][i] = ts[i]-ts[i-k]
+}
+
+// Set computes the denominators for ts, which must hold at most MaxStencil
+// strictly distinct times.
+func (s *Stencil) Set(ts []float64) {
+	n := len(ts)
+	s.n = n
+	for k := 1; k < n; k++ {
+		for i := k; i < n; i++ {
+			s.den[k][i] = ts[i] - ts[i-k]
+		}
+	}
+}
+
+// Divide turns the sample values c[:n] into the divided-difference
+// coefficients c[k] = y[t0, ..., tk] in place. Each coefficient sees the
+// same subtractions and divisions, in the same order, as
+// DividedDifferencesInto, so the results are bit-identical.
+func (s *Stencil) Divide(c *[MaxStencil]float64) {
+	n := s.n
+	for k := 1; k < n; k++ {
+		d := &s.den[k]
+		for i := n - 1; i >= k; i-- {
+			c[i] = (c[i] - c[i-1]) / d[i]
+		}
+	}
+}
+
 // DerivativeEstimate returns an estimate of the k-th derivative of the
 // sampled function at the trailing sample, using the order-k divided
 // difference over the last k+1 samples scaled by k!.
@@ -165,7 +205,8 @@ func PredictVectorAt(ts []float64, hist [][]float64, t float64, dst []float64) {
 
 // PredictVectorAtWith is PredictVectorAt with caller-pooled scratch vectors
 // ys and c of length >= len(ts) (nil allocates fresh ones), for
-// allocation-free prediction in the point-solve hot path.
+// allocation-free prediction in the point-solve hot path. Up to MaxStencil
+// history vectors run on the fixed-size Stencil kernel and need no scratch.
 func PredictVectorAtWith(ts []float64, hist [][]float64, t float64, dst, ys, c []float64) {
 	n := len(ts)
 	if n == 0 {
@@ -176,6 +217,31 @@ func PredictVectorAtWith(ts []float64, hist [][]float64, t float64, dst, ys, c [
 	}
 	if n == 1 {
 		copy(dst, hist[0])
+		return
+	}
+	if n <= MaxStencil {
+		// Fixed-size kernel: denominators and t-ts[j] computed once, each
+		// unknown differenced on a stack array.
+		var st Stencil
+		st.Set(ts)
+		var dt [MaxStencil]float64
+		var xs [MaxStencil][]float64
+		for j := 0; j < n; j++ {
+			dt[j] = t - ts[j]
+			xs[j] = hist[j][:len(dst)]
+		}
+		var dd [MaxStencil]float64 // dd[:n] is rewritten for every unknown
+		for i := range dst {
+			for j := 0; j < n; j++ {
+				dd[j] = xs[j][i]
+			}
+			st.Divide(&dd)
+			v := dd[n-1]
+			for j := n - 2; j >= 0; j-- {
+				v = v*dt[j] + dd[j]
+			}
+			dst[i] = v
+		}
 		return
 	}
 	// Per-component Newton interpolation with shared scratch buffers.

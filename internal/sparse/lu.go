@@ -269,30 +269,42 @@ func (f *LU) Refactor(m *Matrix) error {
 // bit-identical to the serial sweep. A false return means the stored pivot
 // went degenerate (ErrRefactorPivot), leaving w and column k dirty.
 func (f *LU) refactorColumn(m *Matrix, k int, w []float64) bool {
+	// Every slice header is hoisted into a local: a float64 store to w or
+	// ux could otherwise alias the LU's own fields, so the compiler would
+	// reload and re-check them on every inner iteration.
 	j := f.colPerm[k]
-	for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-		w[f.rowInv[m.RowIdx[p]]] = m.Values[p]
+	rowInv, lp, li, lx := f.rowInv, f.lp, f.li, f.lx
+	lo, hi := m.ColPtr[j], m.ColPtr[j+1]
+	vals := m.Values[lo:hi]
+	for p, r := range m.RowIdx[lo:hi] {
+		w[rowInv[r]] = vals[p]
 	}
 	// Forward elimination along the stored U pattern (ascending pivot
 	// positions form a valid topological order for a lower-triangular
 	// dependency structure).
-	for p := f.up[k]; p < f.up[k+1]; p++ {
-		i := f.ui[p]
+	ui := f.ui[f.up[k]:f.up[k+1]]
+	ux := f.ux[f.up[k]:f.up[k+1]]
+	ux = ux[:len(ui)]
+	for p, i := range ui {
 		xi := w[i]
-		f.ux[p] = xi
+		ux[p] = xi
 		if xi == 0 {
 			continue
 		}
-		for q := f.lp[i]; q < f.lp[i+1]; q++ {
-			w[f.li[q]] -= f.lx[q] * xi
+		cl := li[lp[i]:lp[i+1]]
+		cx := lx[lp[i]:lp[i+1]]
+		cx = cx[:len(cl)]
+		for q, r := range cl {
+			w[r] -= cx[q] * xi
 		}
 	}
 	pv := w[k]
 	// Scale test: the pivot must not be degenerate relative to the
 	// column it eliminates.
+	lk := li[lp[k]:lp[k+1]]
 	colMax := math.Abs(pv)
-	for q := f.lp[k]; q < f.lp[k+1]; q++ {
-		if a := math.Abs(w[f.li[q]]); a > colMax {
+	for _, r := range lk {
+		if a := math.Abs(w[r]); a > colMax {
 			colMax = a
 		}
 	}
@@ -300,16 +312,18 @@ func (f *LU) refactorColumn(m *Matrix, k int, w []float64) bool {
 		return false
 	}
 	f.ud[k] = pv
-	for q := f.lp[k]; q < f.lp[k+1]; q++ {
-		f.lx[q] = w[f.li[q]] / pv
+	xk := lx[lp[k]:lp[k+1]]
+	xk = xk[:len(lk)]
+	for q, r := range lk {
+		xk[q] = w[r] / pv
 	}
 	// Clear exactly the touched positions.
-	for p := f.up[k]; p < f.up[k+1]; p++ {
-		w[f.ui[p]] = 0
+	for _, i := range ui {
+		w[i] = 0
 	}
 	w[k] = 0
-	for q := f.lp[k]; q < f.lp[k+1]; q++ {
-		w[f.li[q]] = 0
+	for _, r := range lk {
+		w[r] = 0
 	}
 	return true
 }
@@ -327,33 +341,45 @@ func (f *LU) Solve(b, x []float64) {
 // SolveWith is Solve with a caller-provided scratch vector of length N,
 // allowing allocation-free repeated solves.
 func (f *LU) SolveWith(b, x, scratch []float64) {
-	w := scratch
-	for k := 0; k < f.n; k++ {
-		w[k] = b[f.rowPerm[k]]
+	// Slice headers hoisted into locals, as in refactorColumn: stores to w
+	// must not force the LU's fields to be reloaded per inner iteration.
+	n := f.n
+	rowPerm, colPerm := f.rowPerm, f.colPerm
+	lp, li, lx := f.lp, f.li, f.lx
+	up, ui, ux, ud := f.up, f.ui, f.ux, f.ud
+	w := scratch[:n]
+	for k, r := range rowPerm[:n] {
+		w[k] = b[r]
 	}
 	// Forward: L·y = P·b (unit diagonal).
-	for k := 0; k < f.n; k++ {
+	for k := 0; k < n; k++ {
 		yk := w[k]
 		if yk == 0 {
 			continue
 		}
-		for q := f.lp[k]; q < f.lp[k+1]; q++ {
-			w[f.li[q]] -= f.lx[q] * yk
+		cl := li[lp[k]:lp[k+1]]
+		cx := lx[lp[k]:lp[k+1]]
+		cx = cx[:len(cl)]
+		for q, r := range cl {
+			w[r] -= cx[q] * yk
 		}
 	}
 	// Backward: U·z = y, U stored by strict-upper columns + diagonal.
-	for k := f.n - 1; k >= 0; k-- {
-		zk := w[k] / f.ud[k]
+	for k := n - 1; k >= 0; k-- {
+		zk := w[k] / ud[k]
 		w[k] = zk
 		if zk == 0 {
 			continue
 		}
-		for p := f.up[k]; p < f.up[k+1]; p++ {
-			w[f.ui[p]] -= f.ux[p] * zk
+		cu := ui[up[k]:up[k+1]]
+		cx := ux[up[k]:up[k+1]]
+		cx = cx[:len(cu)]
+		for p, r := range cu {
+			w[r] -= cx[p] * zk
 		}
 	}
-	for k := 0; k < f.n; k++ {
-		x[f.colPerm[k]] = w[k]
+	for k, c := range colPerm[:n] {
+		x[c] = w[k]
 	}
 }
 
@@ -396,14 +422,22 @@ type Solver struct {
 	lu      *LU
 	scratch []float64
 	resid   []float64
-	// prevValues snapshots M.Values as of the last real (re)factorization;
-	// bypass drift is measured against it, not the previous iteration, so
-	// slow cumulative change still forces a refactorization eventually.
-	prevValues []float64
+	// snap holds M.Values as of the call that produced the current LU, and
+	// snapKind says how that LU came about. Bypass drift is measured against
+	// snap, not the previous iteration, so slow cumulative change still
+	// forces a refactorization eventually.
+	snap     []float64
+	snapKind snapKind
 
 	// Stats.
 	FullFactorizations int
 	Refactorizations   int
+	// ReusedFactorizations counts calls that found M.Values bit-for-bit
+	// equal to the values a Refactor had turned into the LU in hand, and so
+	// kept that LU: a Refactor would have reproduced it exactly.
+	// LastReused reports whether the most recent call was one of them.
+	ReusedFactorizations int
+	LastReused           bool
 	// BypassedFactorizations counts Factorize calls answered by reusing the
 	// previous LU. LastBypassed reports whether the most recent Factorize was
 	// one of them — the Newton guard uses it to ensure an accepted iterate
@@ -412,35 +446,72 @@ type Solver struct {
 	LastBypassed           bool
 }
 
+// snapKind records what Solver.snap says about the current LU.
+type snapKind uint8
+
+const (
+	// snapNone: no snapshot backs the LU (none yet, a restored one, or a
+	// failed factorization); the next call factorizes.
+	snapNone snapKind = iota
+	// snapFull: snap produced the LU through a full Factorize. A Refactor of
+	// the same values may round differently, so it is not reused.
+	snapFull
+	// snapRefactored: snap produced the LU through Refactor. Refactor output
+	// depends only on pattern, pivots and values, so the LU in hand is
+	// exactly what a Refactor of snap would give again.
+	snapRefactored
+)
+
 // NewSolver returns a Solver for m using the given ordering.
 func NewSolver(m *Matrix, o Ordering) *Solver {
 	return &Solver{M: m, Ordering: o, PivTol: DefaultPivotTolerance}
 }
 
 // Factorize (re)factorizes the current values of the matrix, preferring the
-// numeric-only refactorization path. With BypassTol > 0 and values within
-// tolerance of the ones that produced the current factorization, the call is
-// a no-op that keeps the previous LU (LastBypassed reports this).
+// numeric-only refactorization path. Values bit-for-bit equal to the ones a
+// Refactor turned into the current LU keep that LU (LastReused). With
+// BypassTol > 0 and values within tolerance of the ones that produced the
+// current factorization, the call is a no-op that keeps the previous LU
+// (LastBypassed reports this).
 func (s *Solver) Factorize() error {
-	if s.lu != nil && s.BypassTol > 0 && s.prevValues != nil &&
-		maxRelChange(s.prevValues, s.M.Values) <= s.BypassTol {
-		s.BypassedFactorizations++
-		s.LastBypassed = true
-		return nil
-	}
-	return s.FactorizeFresh()
+	return s.factorize(s.BypassTol)
 }
 
-// FactorizeFresh is Factorize without the bypass shortcut: the matrix values
-// are always run through Refactor or a full Factorize. Callers that must
-// leave an exact factorization behind (the final Newton guard, warm-start
-// handoff) use this directly.
+// FactorizeFresh is Factorize without the bypass shortcut: the LU left
+// behind is always exact for the current values, either reused as is or run
+// through Refactor or a full Factorize. Callers that must leave an exact
+// factorization behind (the final Newton guard, warm-start handoff) use
+// this directly.
 func (s *Solver) FactorizeFresh() error {
-	s.LastBypassed = false
+	return s.factorize(0)
+}
+
+func (s *Solver) factorize(bypassTol float64) error {
+	s.LastBypassed, s.LastReused = false, false
+	vals := s.M.Values
+	// p is the first position where the values differ from the snapshot;
+	// the prefix before it needs neither a drift check nor a copy.
+	p := 0
+	if s.snapKind != snapNone {
+		p = firstDiff(s.snap, vals)
+		if p == len(vals) && s.snapKind == snapRefactored {
+			s.ReusedFactorizations++
+			s.LastReused = true
+			return nil
+		}
+		if bypassTol > 0 && maxRelChange(s.snap[p:], vals[p:]) <= bypassTol {
+			s.BypassedFactorizations++
+			s.LastBypassed = true
+			return nil
+		}
+	} else if len(s.snap) != len(vals) {
+		s.snap = make([]float64, len(vals))
+	}
+	copy(s.snap[p:], vals[p:])
 	if s.lu != nil {
 		if err := s.refactor(); err == nil {
 			s.Refactorizations++
-			s.snapshotValues()
+			s.snapKind = snapRefactored
 			return nil
 		}
 		// Fall through to a full factorization with fresh pivoting.
@@ -453,24 +524,27 @@ func (s *Solver) FactorizeFresh() error {
 		lu, err = Factorize(s.M, s.Ordering, s.PivTol)
 	}
 	if err != nil {
+		// A failed Refactor leaves the old LU half overwritten: drop it, so
+		// nothing can bypass onto or reuse it.
+		s.lu, s.snapKind = nil, snapNone
 		return err
 	}
 	s.lu = lu
 	s.FullFactorizations++
-	s.snapshotValues()
+	s.snapKind = snapFull
 	return nil
 }
 
-// snapshotValues records the matrix values backing the current factorization
-// so later Factorize calls can measure bypass drift against them.
-func (s *Solver) snapshotValues() {
-	if s.BypassTol <= 0 {
-		return
+// firstDiff returns the first index where a and b differ bit for bit, or
+// len(b) when they are identical. a must be at least as long as b.
+func firstDiff(a, b []float64) int {
+	a = a[:len(b)]
+	for i, v := range b {
+		if math.Float64bits(a[i]) != math.Float64bits(v) {
+			return i
+		}
 	}
-	if s.prevValues == nil {
-		s.prevValues = make([]float64, len(s.M.Values))
-	}
-	copy(s.prevValues, s.M.Values)
+	return len(b)
 }
 
 // maxRelChange returns the maximum elementwise relative change between old

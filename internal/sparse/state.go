@@ -146,9 +146,9 @@ func (s *Solver) FactorState() *LUState {
 
 // RestoreFactor installs a snapshotted factorization so the next Factorize
 // call takes the Refactor path against the restored pivot sequence. The
-// snapshot must match the solver's matrix dimension. Bypass reference values
-// are deliberately not restored: the first post-restore Factorize always
-// refactorizes.
+// snapshot must match the solver's matrix dimension. The value snapshot is
+// deliberately not restored: the first post-restore Factorize always
+// refactorizes, and neither bypasses nor reuses.
 func (s *Solver) RestoreFactor(st *LUState) error {
 	if st == nil {
 		return errors.New("lu state: nil snapshot")
@@ -161,7 +161,7 @@ func (s *Solver) RestoreFactor(st *LUState) error {
 		return err
 	}
 	s.lu = lu
-	s.prevValues = nil
-	s.LastBypassed = false
+	s.snapKind = snapNone
+	s.LastBypassed, s.LastReused = false, false
 	return nil
 }

@@ -276,6 +276,7 @@ type ReplayCounts struct {
 	Recoveries      int // KindRecovery events
 	SerialFallbacks int // KindSerialFallback events
 	BypassHits      int // bypassed-factorization phase events
+	ReuseHits       int // exactly reused factorization phase events
 	BypassedEvals   int // device evals replayed, summed over device-load phases
 	LinearStampHits int // device-load phases flagged as linear-template hits
 	Cancels         int // KindCancel events
@@ -318,6 +319,9 @@ func Replay(events []Event) ReplayCounts {
 		case KindPhase:
 			if ev.Phase == PhaseFactor && ev.Flags&FlagBypassed != 0 {
 				c.BypassHits++
+			}
+			if ev.Phase == PhaseFactor && ev.Flags&FlagReused != 0 {
+				c.ReuseHits++
 			}
 			if ev.Phase == PhaseDeviceLoad {
 				c.BypassedEvals += int(ev.Iters)

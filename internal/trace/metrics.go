@@ -23,6 +23,7 @@ type Metrics struct {
 	fallbacks  atomic.Int64
 	cancels    atomic.Int64
 	bypassHits atomic.Int64
+	reuseHits  atomic.Int64
 	events     atomic.Int64
 
 	stepSize     atomic.Uint64 // float64 bits
@@ -60,6 +61,9 @@ func (m *Metrics) OnEvent(ev Event) {
 		if ev.Phase == PhaseFactor && ev.Flags&FlagBypassed != 0 {
 			m.bypassHits.Add(1)
 		}
+		if ev.Phase == PhaseFactor && ev.Flags&FlagReused != 0 {
+			m.reuseHits.Add(1)
+		}
 	}
 }
 
@@ -89,7 +93,8 @@ func (m *Metrics) metricRows() []struct {
 		{"wavepipe_recoveries_total", "Recovery-ladder rescues.", false, float64(m.recoveries.Load())},
 		{"wavepipe_serial_fallbacks_total", "Pipeline degradations to serial integration.", false, float64(m.fallbacks.Load())},
 		{"wavepipe_cancels_total", "Context cancellations observed.", false, float64(m.cancels.Load())},
-		{"wavepipe_bypass_hits_total", "Factorizations answered by LU reuse.", false, float64(m.bypassHits.Load())},
+		{"wavepipe_bypass_hits_total", "Factorizations answered by a stale LU within the bypass tolerance.", false, float64(m.bypassHits.Load())},
+		{"wavepipe_lu_reuses_total", "Factorizations skipped because the matrix values were bit-for-bit unchanged.", false, float64(m.reuseHits.Load())},
 		{"wavepipe_trace_events_total", "Trace events emitted.", false, float64(m.events.Load())},
 		{"wavepipe_step_size_seconds", "Step size of the most recent accepted point.", true, f(&m.stepSize)},
 		{"wavepipe_sim_time_seconds", "Simulation time of the most recent accepted point.", true, f(&m.simTime)},

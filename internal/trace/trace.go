@@ -81,7 +81,7 @@ type Phase uint8
 const (
 	PhaseNone       Phase = iota
 	PhaseDeviceLoad       // device evaluation + matrix assembly
-	PhaseFactor           // sparse LU factorization (or bypass)
+	PhaseFactor           // sparse LU factorization (or bypass, or exact reuse)
 	PhaseTriSolve         // forward/backward triangular solves
 	PhaseLTE              // truncation-error estimation
 	phaseCount
@@ -111,7 +111,8 @@ func PhaseFromString(s string) (Phase, bool) {
 const (
 	// FlagFailed marks a solve attempt that returned an error.
 	FlagFailed uint8 = 1 << 0
-	// FlagBypassed marks a factorization answered by reusing the prior LU.
+	// FlagBypassed marks a factorization answered by reusing the prior LU
+	// although the matrix values drifted (within the bypass tolerance).
 	FlagBypassed uint8 = 1 << 1
 	// FlagResumed marks a solve warm-started from speculative iterations.
 	FlagResumed uint8 = 1 << 2
@@ -119,6 +120,10 @@ const (
 	// linear stamp template (incremental assembly LRU hit). Such events also
 	// carry the load's bypassed-device-eval count in Iters.
 	FlagLinearHit uint8 = 1 << 3
+	// FlagReused marks a factorization skipped because the matrix values
+	// were bit-for-bit those a Refactor had already turned into the LU in
+	// hand: an exact reuse, unlike FlagBypassed.
+	FlagReused uint8 = 1 << 4
 )
 
 // Event is one structured trace record. The struct is fixed-size and

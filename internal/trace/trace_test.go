@@ -31,10 +31,11 @@ func TestTracerStampsAndCounts(t *testing.T) {
 	tr.Emit(Event{Kind: KindDiscard, T: 3e-9})
 	tr.Emit(Event{Kind: KindRecovery, T: 3e-9})
 	tr.Emit(Event{Kind: KindPhase, Phase: PhaseFactor, Flags: FlagBypassed})
+	tr.Emit(Event{Kind: KindPhase, Phase: PhaseFactor, Flags: FlagReused})
 
 	evs := rec.Events()
-	if len(evs) != 8 {
-		t.Fatalf("got %d events, want 8", len(evs))
+	if len(evs) != 9 {
+		t.Fatalf("got %d events, want 9", len(evs))
 	}
 	var lastSeq uint64
 	for i, ev := range evs {
@@ -59,7 +60,7 @@ func TestTracerStampsAndCounts(t *testing.T) {
 	}
 
 	c := Replay(evs)
-	want := ReplayCounts{Points: 2, Solves: 2, NRIters: 5, LTERejects: 1, Discarded: 1, Recoveries: 1, BypassHits: 1}
+	want := ReplayCounts{Points: 2, Solves: 2, NRIters: 5, LTERejects: 1, Discarded: 1, Recoveries: 1, BypassHits: 1, ReuseHits: 1}
 	if c != want {
 		t.Fatalf("Replay = %+v, want %+v", c, want)
 	}

@@ -31,6 +31,7 @@ func snapStats(s Stats) checkpoint.Stats {
 		WorkerPanics:           int64(s.WorkerPanics),
 		DegradedStages:         int64(s.DegradedStages),
 		BypassedFactorizations: int64(s.BypassedFactorizations),
+		ReusedFactorizations:   int64(s.ReusedFactorizations),
 		Refactorizations:       int64(s.Refactorizations),
 		FullFactorizations:     int64(s.FullFactorizations),
 		BypassedEvals:          s.BypassedEvals,
@@ -57,6 +58,7 @@ func unsnapStats(s checkpoint.Stats) Stats {
 		WorkerPanics:           int(s.WorkerPanics),
 		DegradedStages:         int(s.DegradedStages),
 		BypassedFactorizations: int(s.BypassedFactorizations),
+		ReusedFactorizations:   int(s.ReusedFactorizations),
 		Refactorizations:       int(s.Refactorizations),
 		FullFactorizations:     int(s.FullFactorizations),
 		BypassedEvals:          s.BypassedEvals,

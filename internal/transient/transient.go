@@ -185,9 +185,12 @@ type Stats struct {
 	WorkerPanics   int
 	DegradedStages int
 	// Factorization accounting (filled from the sparse solver counters):
-	// bypassed calls reused the previous LU outright, refactorizations took
-	// the numeric-only path, full factorizations re-pivoted from scratch.
+	// bypassed calls reused the previous LU outright, reused calls kept an
+	// LU whose values were bit-for-bit unchanged (an exact skip, not a
+	// stale LU), refactorizations took the numeric-only path, full
+	// factorizations re-pivoted from scratch.
 	BypassedFactorizations int
+	ReusedFactorizations   int
 	Refactorizations       int
 	FullFactorizations     int
 	// Incremental-assembly accounting (filled from the workspace counters):
@@ -236,6 +239,7 @@ func (s *Stats) Add(other Stats) {
 	s.WorkerPanics += other.WorkerPanics
 	s.DegradedStages += other.DegradedStages
 	s.BypassedFactorizations += other.BypassedFactorizations
+	s.ReusedFactorizations += other.ReusedFactorizations
 	s.Refactorizations += other.Refactorizations
 	s.FullFactorizations += other.FullFactorizations
 	s.BypassedEvals += other.BypassedEvals
@@ -297,15 +301,14 @@ type PointSolver struct {
 	warmValid  bool
 
 	// Pooled per-point scratch: steady-state transient iteration allocates
-	// nothing. tailBuf/predTs/predXs/predYs/predC serve the polynomial
-	// predictor; warmBuf is WarmStart's returned iterate (consumed by the
+	// nothing. tailBuf/predTs/predXs serve the polynomial predictor (at
+	// most three points, which num's fixed-size kernel runs without
+	// scratch); warmBuf is WarmStart's returned iterate (consumed by the
 	// matching ResumeAt before the next WarmStart on this solver); LTE holds
 	// the divided-difference scratch of the engines' acceptance checks.
 	tailBuf []*integrate.Point
 	predTs  []float64
 	predXs  [][]float64
-	predYs  []float64
-	predC   []float64
 	warmBuf []float64
 	LTE     integrate.LTEScratch
 
@@ -363,15 +366,13 @@ func (ps *PointSolver) predict(hist *integrate.History, t float64, dst []float64
 	if cap(ps.predTs) < k {
 		ps.predTs = make([]float64, k)
 		ps.predXs = make([][]float64, k)
-		ps.predYs = make([]float64, k)
-		ps.predC = make([]float64, k)
 	}
 	ts, xs := ps.predTs[:k], ps.predXs[:k]
 	for i, p := range pts {
 		ts[i] = p.T
 		xs[i] = p.X
 	}
-	num.PredictVectorAtWith(ts, xs, t, dst, ps.predYs[:k], ps.predC[:k])
+	num.PredictVectorAtWith(ts, xs, t, dst, nil, nil)
 }
 
 // takePoint pops a recycled point (or allocates one) with X/Q/Qdot buffers
@@ -425,8 +426,6 @@ func (ps *PointSolver) PredictPoint(hist *integrate.History, t float64) *integra
 	if cap(ps.predTs) < k {
 		ps.predTs = make([]float64, k)
 		ps.predXs = make([][]float64, k)
-		ps.predYs = make([]float64, k)
-		ps.predC = make([]float64, k)
 	}
 	if cap(ps.predQs) < k {
 		ps.predQs = make([][]float64, k)
@@ -440,10 +439,9 @@ func (ps *PointSolver) PredictPoint(hist *integrate.History, t float64) *integra
 		qs[i] = p.Q
 		qds[i] = p.Qdot
 	}
-	ys, c := ps.predYs[:k], ps.predC[:k]
-	num.PredictVectorAtWith(ts, xs, t, pt.X, ys, c)
-	num.PredictVectorAtWith(ts, qs, t, pt.Q, ys, c)
-	num.PredictVectorAtWith(ts, qds, t, pt.Qdot, ys, c)
+	num.PredictVectorAtWith(ts, xs, t, pt.X, nil, nil)
+	num.PredictVectorAtWith(ts, qs, t, pt.Q, nil, nil)
+	num.PredictVectorAtWith(ts, qds, t, pt.Qdot, nil, nil)
 	return pt
 }
 
@@ -451,6 +449,7 @@ func (ps *PointSolver) PredictPoint(hist *integrate.History, t float64) *integra
 // counters into Stats. Engines call it once per solver before merging stats.
 func (ps *PointSolver) HarvestSolverStats() {
 	ps.Stats.BypassedFactorizations = ps.WS.Solver.BypassedFactorizations
+	ps.Stats.ReusedFactorizations = ps.WS.Solver.ReusedFactorizations
 	ps.Stats.Refactorizations = ps.WS.Solver.Refactorizations
 	ps.Stats.FullFactorizations = ps.WS.Solver.FullFactorizations
 	ps.Stats.BypassedEvals, ps.Stats.LinearStampHits = ps.WS.DeviceBypassCounters()

@@ -68,8 +68,9 @@ const (
 // Trace event flag bits.
 const (
 	TraceFlagFailed   = trace.FlagFailed   // the solve attempt errored
-	TraceFlagBypassed = trace.FlagBypassed // factorization reused the prior LU
+	TraceFlagBypassed = trace.FlagBypassed // factorization reused a stale prior LU
 	TraceFlagResumed  = trace.FlagResumed  // solve warm-started from speculation
+	TraceFlagReused   = trace.FlagReused   // matrix values unchanged: the LU in hand is exact
 )
 
 // NewTraceRecorder returns an in-memory observer. capacity > 0 bounds the

@@ -198,6 +198,9 @@ type Stats struct {
 	WindowsLaunched        int64 `json:"windowsLaunched"`
 	PararealIters          int64 `json:"pararealIters"`
 	WindowRedos            int64 `json:"windowRedos"`
+	// Exact LU reuses. Additive since schemaVersion 1 (omitempty: absent
+	// means no factorization was reused).
+	ReusedFactorizations int `json:"reusedFactorizations,omitempty"`
 	// Parasitic-reduction counters. Additive since schemaVersion 1
 	// (omitempty: absent means the run was not reduced).
 	ReducedNodes   int64 `json:"reducedNodes,omitempty"`
@@ -219,6 +222,7 @@ func FromStats(s wavepipe.Stats) Stats {
 		WorkerPanics:           s.WorkerPanics,
 		DegradedStages:         s.DegradedStages,
 		BypassedFactorizations: s.BypassedFactorizations,
+		ReusedFactorizations:   s.ReusedFactorizations,
 		Refactorizations:       s.Refactorizations,
 		FullFactorizations:     s.FullFactorizations,
 		BypassedEvals:          s.BypassedEvals,
@@ -250,6 +254,7 @@ func (w Stats) ToStats() wavepipe.Stats {
 		WorkerPanics:           w.WorkerPanics,
 		DegradedStages:         w.DegradedStages,
 		BypassedFactorizations: w.BypassedFactorizations,
+		ReusedFactorizations:   w.ReusedFactorizations,
 		Refactorizations:       w.Refactorizations,
 		FullFactorizations:     w.FullFactorizations,
 		BypassedEvals:          w.BypassedEvals,

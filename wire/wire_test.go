@@ -99,8 +99,9 @@ func TestResultGoldenRoundTrip(t *testing.T) {
 }
 
 // TestStatsRoundTripCoversEveryField uses reflection to guarantee no Stats
-// field is silently dropped by the wire conversion: a struct with every
-// field set to a distinct nonzero value must survive unchanged.
+// field is silently dropped by the wire conversion or its JSON encoding: a
+// struct with every field set to a distinct nonzero value must survive both
+// unchanged (a missing or duplicated JSON name would drop one).
 func TestStatsRoundTripCoversEveryField(t *testing.T) {
 	var s wavepipe.Stats
 	v := reflect.ValueOf(&s).Elem()
@@ -117,6 +118,17 @@ func TestStatsRoundTripCoversEveryField(t *testing.T) {
 	}
 	if got := FromStats(s).ToStats(); !reflect.DeepEqual(got, s) {
 		t.Fatalf("stats dropped on the wire:\n got %+v\nwant %+v", got, s)
+	}
+	var buf bytes.Buffer
+	if err := Encode(&buf, FromStats(s)); err != nil {
+		t.Fatal(err)
+	}
+	var back Stats
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+		t.Fatal(err)
+	}
+	if got := back.ToStats(); !reflect.DeepEqual(got, s) {
+		t.Fatalf("stats dropped by the JSON encoding:\n got %+v\nwant %+v", got, s)
 	}
 }
 
