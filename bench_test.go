@@ -359,12 +359,11 @@ func BenchmarkSparseLTE_RLCTree8(b *testing.B) {
 	hist := [][]float64{pts[1].X, pts[2].X, pts[3].X}
 	dst := make([]float64, sys.N)
 	tol := num.DefaultTolerances()
-	var scr integrate.LTEScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = integrate.DerivNormWith(pts, 2, tol, &scr)
-		num.PredictVectorAtWith(ts[1:], hist, 2.2e-9, dst, nil, nil)
+		benchSink = integrate.DerivNorm(pts, 2, tol)
+		num.PredictVectorAt(ts[1:], hist, 2.2e-9, dst)
 	}
 }
 

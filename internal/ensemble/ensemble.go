@@ -420,7 +420,7 @@ func (e *engine) finishRound(st *laneState) {
 	norm := 0.0
 	if !e.base.NoLTE {
 		st.lteTail = append(st.hist.AppendTail(st.lteTail[:0], co.Order+1), pt)
-		norm = ctrl.CheckLTEWith(ps.Method, co.Order, st.lteTail, co.H0, co.H1, &ps.LTE)
+		norm = ctrl.CheckLTE(ps.Method, co.Order, st.lteTail, co.H0, co.H1)
 		if norm > 1 && co.H0 > ctrl.HMin*1.01 && !st.afterBreak {
 			ps.Stats.LTERejects++
 			if e.tr.Active() {

@@ -69,7 +69,8 @@ type Point struct {
 
 // HistoryDepth is how many trailing points the engines retain: enough for
 // Gear-2 coefficients (2), third-derivative LTE estimation (4) and a couple
-// of WavePipe backward points.
+// of WavePipe backward points. It must not exceed num.MaxStencil, the
+// longest stencil the divided-difference kernels take.
 const HistoryDepth = 8
 
 // History is the bounded trailing window of accepted points, ascending in
@@ -290,82 +291,42 @@ func DefaultControl(tstop float64) Control {
 	}
 }
 
-// LTEScratch pools the small per-call vectors of DerivNorm/CheckLTE so the
-// steady-state accept loop allocates nothing. The zero value is ready to
-// use; one scratch serves one goroutine.
-type LTEScratch struct {
-	ts, ys, dd []float64
-	st         num.Stencil
-}
-
-func (s *LTEScratch) ensure(n int) {
-	if cap(s.ts) < n {
-		s.ts = make([]float64, n)
-		s.ys = make([]float64, n)
-		s.dd = make([]float64, n)
-	}
-	s.ts, s.ys, s.dd = s.ts[:n], s.ys[:n], s.dd[:n]
-}
-
 // DerivNorm estimates the weighted norm of the (order+1)-th solution
 // derivative from the trailing points (the candidate point included, last).
 // The result has units such that ErrorCoefficient(...)·DerivNorm is the
 // dimensionless weighted LTE. When not enough points exist, it returns 0
-// (the step is accepted — matching SPICE's behaviour on startup).
+// (the step is accepted — matching SPICE's behaviour on startup). The
+// estimate differences order+2 points, at most num.MaxStencil: the
+// denominators are computed once per call and each unknown is differenced
+// on a stack array, so the accept loop allocates nothing.
 func DerivNorm(pts []*Point, order int, tol num.Tolerances) float64 {
-	var s LTEScratch
-	return DerivNormWith(pts, order, tol, &s)
-}
-
-// DerivNormWith is DerivNorm with caller-pooled scratch.
-func DerivNormWith(pts []*Point, order int, tol num.Tolerances, s *LTEScratch) float64 {
 	k := order + 1 // derivative order to estimate
 	if len(pts) < k+1 {
 		return 0
 	}
 	pts = pts[len(pts)-(k+1):]
-	s.ensure(k + 1)
-	ts := s.ts
-	for i, p := range pts {
-		ts[i] = p.T
-	}
+	var ts [num.MaxStencil]float64
+	var xs [num.MaxStencil][]float64
 	ref := pts[len(pts)-1].X
-	nUnk := len(ref)
-	ys := s.ys
-	dd := s.dd
+	for j, p := range pts {
+		ts[j] = p.T
+		xs[j] = p.X[:len(ref)]
+	}
+	var st num.Stencil
+	st.Set(ts[:len(pts)])
 	fact := 1.0
 	for i := 2; i <= k; i++ {
 		fact *= float64(i)
 	}
 	maxNorm := 0.0
-	if len(pts) <= num.MaxStencil {
-		// Fixed-size kernel: denominators computed once, each unknown
-		// differenced on a stack array, no gather through pts.
-		s.st.Set(ts)
-		var xs [num.MaxStencil][]float64
-		for j, p := range pts {
-			xs[j] = p.X[:nUnk]
+	var c [num.MaxStencil]float64 // c[:len(pts)] is rewritten per unknown
+	for i, r := range ref {
+		for j := range pts {
+			c[j] = xs[j][i]
 		}
-		var c [num.MaxStencil]float64 // c[:len(pts)] is rewritten per unknown
-		for i, r := range ref {
-			for j := range pts {
-				c[j] = xs[j][i]
-			}
-			s.st.Divide(&c)
-			d := c[k] * fact // ≈ x_i^(k)
-			if v := math.Abs(d) / tol.Weight(r); v > maxNorm {
-				maxNorm = v
-			}
-		}
-		return maxNorm
-	}
-	for i := 0; i < nUnk; i++ {
-		for j, p := range pts {
-			ys[j] = p.X[i]
-		}
-		num.DividedDifferencesInto(ts, ys, dd)
-		d := dd[k] * fact // ≈ x_i^(k)
-		if v := math.Abs(d) / tol.Weight(ref[i]); v > maxNorm {
+		st.Divide(&c)
+		d := c[k] * fact // ≈ x_i^(k)
+		if v := math.Abs(d) / tol.Weight(r); v > maxNorm {
 			maxNorm = v
 		}
 	}
@@ -376,13 +337,7 @@ func DerivNormWith(pts []*Point, order int, tol num.Tolerances, s *LTEScratch) f
 // step is acceptable when the result is <= 1. pts must end with the
 // candidate point; h1 is the trailing history spacing before the step.
 func (c Control) CheckLTE(m Method, order int, pts []*Point, h0, h1 float64) float64 {
-	var s LTEScratch
-	return c.CheckLTEWith(m, order, pts, h0, h1, &s)
-}
-
-// CheckLTEWith is CheckLTE with caller-pooled scratch.
-func (c Control) CheckLTEWith(m Method, order int, pts []*Point, h0, h1 float64, s *LTEScratch) float64 {
-	d := DerivNormWith(pts, order, c.Tol, s)
+	d := DerivNorm(pts, order, c.Tol)
 	if d == 0 {
 		return 0
 	}

@@ -8,7 +8,7 @@ import (
 	"wavepipe/internal/num"
 )
 
-// refDerivNorm is DerivNormWith as it ran before the fixed-size Stencil
+// refDerivNorm is DerivNorm as it ran before the fixed-size Stencil
 // path: per unknown, gather through the points and take the slice divided
 // differences. The production kernel must match it bit for bit.
 func refDerivNorm(pts []*Point, order int, tol num.Tolerances) float64 {
@@ -47,16 +47,14 @@ func refDerivNorm(pts []*Point, order int, tol num.Tolerances) float64 {
 	return maxNorm
 }
 
-// TestDerivNormMatchesReference compares DerivNormWith with the reference
-// on 2 to num.MaxStencil points and on num.MaxStencil+1 (the slice
-// fallback), over unevenly and nearly coincidently spaced times. Each
-// unknown is checked on its own, so no maximum can mask a mismatch.
+// TestDerivNormMatchesReference compares DerivNorm with the reference
+// on 2 to num.MaxStencil points, over unevenly and nearly coincidently
+// spaced times. Each unknown is checked on its own, so no maximum can mask a mismatch.
 func TestDerivNormMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	gaps := []float64{3.1e-9, 2e-17, 7.3e-10, 1.1e-15, 4.4e-12, 9e-9, 3e-16, 1.7e-11}
 	tol := num.DefaultTolerances()
-	var s LTEScratch
-	for npts := 2; npts <= num.MaxStencil+1; npts++ {
+	for npts := 2; npts <= num.MaxStencil; npts++ {
 		order := npts - 2
 		tt := 1e-6
 		pts := make([]*Point, npts)
@@ -73,7 +71,7 @@ func TestDerivNormMatchesReference(t *testing.T) {
 					p.X[0] = 1.8
 				}
 			}
-			got := DerivNormWith(pts, order, tol, &s)
+			got := DerivNorm(pts, order, tol)
 			want := refDerivNorm(pts, order, tol)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%d points, trial %d: %x (%g), reference %x (%g)",

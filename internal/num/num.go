@@ -3,7 +3,10 @@
 // error estimation, and polynomial prediction used by forward pipelining.
 package num
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Tolerances bundles the relative/absolute tolerances used to weight error
 // norms, mirroring SPICE's RELTOL/VNTOL(ABSTOL) options.
@@ -126,8 +129,9 @@ func DividedDifferencesInto(ts, ys, c []float64) {
 }
 
 // MaxStencil is the largest number of sample times the fixed-size
-// divided-difference kernel (Stencil) handles; longer stencils take the
-// slice loop of DividedDifferencesInto.
+// divided-difference kernel (Stencil) handles. The engines never difference
+// more: their history window (integrate.HistoryDepth) holds at most this
+// many points.
 const MaxStencil = 8
 
 // Stencil holds the divided-difference denominators ts[i]-ts[i-k] of up to
@@ -140,9 +144,12 @@ type Stencil struct {
 }
 
 // Set computes the denominators for ts, which must hold at most MaxStencil
-// strictly distinct times.
+// strictly distinct times; more panics.
 func (s *Stencil) Set(ts []float64) {
 	n := len(ts)
+	if n > MaxStencil {
+		panic(fmt.Sprintf("num: stencil of %d sample times, at most %d supported", n, MaxStencil))
+	}
 	s.n = n
 	for k := 1; k < n; k++ {
 		for i := k; i < n; i++ {
@@ -198,16 +205,11 @@ func PredictAt(ts, ys []float64, t float64) float64 {
 
 // PredictVectorAt extrapolates each component of the history vectors hist
 // (hist[j] is the full solution vector at time ts[j]) to time t, writing the
-// result into dst. The number of history vectors sets the polynomial order.
+// result into dst. The number of history vectors sets the polynomial order;
+// it is at most MaxStencil. The denominators and t-ts[j] are computed once
+// per call and each unknown is differenced on a stack array, so the point-
+// solve hot path allocates nothing.
 func PredictVectorAt(ts []float64, hist [][]float64, t float64, dst []float64) {
-	PredictVectorAtWith(ts, hist, t, dst, nil, nil)
-}
-
-// PredictVectorAtWith is PredictVectorAt with caller-pooled scratch vectors
-// ys and c of length >= len(ts) (nil allocates fresh ones), for
-// allocation-free prediction in the point-solve hot path. Up to MaxStencil
-// history vectors run on the fixed-size Stencil kernel and need no scratch.
-func PredictVectorAtWith(ts []float64, hist [][]float64, t float64, dst, ys, c []float64) {
 	n := len(ts)
 	if n == 0 {
 		for i := range dst {
@@ -219,45 +221,23 @@ func PredictVectorAtWith(ts []float64, hist [][]float64, t float64, dst, ys, c [
 		copy(dst, hist[0])
 		return
 	}
-	if n <= MaxStencil {
-		// Fixed-size kernel: denominators and t-ts[j] computed once, each
-		// unknown differenced on a stack array.
-		var st Stencil
-		st.Set(ts)
-		var dt [MaxStencil]float64
-		var xs [MaxStencil][]float64
-		for j := 0; j < n; j++ {
-			dt[j] = t - ts[j]
-			xs[j] = hist[j][:len(dst)]
-		}
-		var dd [MaxStencil]float64 // dd[:n] is rewritten for every unknown
-		for i := range dst {
-			for j := 0; j < n; j++ {
-				dd[j] = xs[j][i]
-			}
-			st.Divide(&dd)
-			v := dd[n-1]
-			for j := n - 2; j >= 0; j-- {
-				v = v*dt[j] + dd[j]
-			}
-			dst[i] = v
-		}
-		return
+	var st Stencil
+	st.Set(ts)
+	var dt [MaxStencil]float64
+	var xs [MaxStencil][]float64
+	for j := 0; j < n; j++ {
+		dt[j] = t - ts[j]
+		xs[j] = hist[j][:len(dst)]
 	}
-	// Per-component Newton interpolation with shared scratch buffers.
-	if len(ys) < n || len(c) < n {
-		ys = make([]float64, n)
-		c = make([]float64, n)
-	}
-	ys, c = ys[:n], c[:n]
+	var dd [MaxStencil]float64 // dd[:n] is rewritten for every unknown
 	for i := range dst {
 		for j := 0; j < n; j++ {
-			ys[j] = hist[j][i]
+			dd[j] = xs[j][i]
 		}
-		DividedDifferencesInto(ts, ys, c)
-		v := c[n-1]
+		st.Divide(&dd)
+		v := dd[n-1]
 		for j := n - 2; j >= 0; j-- {
-			v = v*(t-ts[j]) + c[j]
+			v = v*dt[j] + dd[j]
 		}
 		dst[i] = v
 	}

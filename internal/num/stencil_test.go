@@ -6,19 +6,6 @@ import (
 	"testing"
 )
 
-// refDividedDifferences is DividedDifferencesInto as the per-unknown
-// kernels ran it before the fixed-size Stencil path: the reference the
-// Stencil results must match bit for bit.
-func refDividedDifferences(ts, ys, c []float64) {
-	n := len(ts)
-	copy(c, ys)
-	for k := 1; k < n; k++ {
-		for i := n - 1; i >= k; i-- {
-			c[i] = (c[i] - c[i-1]) / (ts[i] - ts[i-k])
-		}
-	}
-}
-
 // refPredictVector is the per-unknown predictor loop before the Stencil
 // path.
 func refPredictVector(ts []float64, hist [][]float64, t float64, dst []float64) {
@@ -29,7 +16,7 @@ func refPredictVector(ts []float64, hist [][]float64, t float64, dst []float64) 
 		for j := 0; j < n; j++ {
 			ys[j] = hist[j][i]
 		}
-		refDividedDifferences(ts, ys, c)
+		DividedDifferencesInto(ts, ys, c)
 		v := c[n-1]
 		for j := n - 2; j >= 0; j-- {
 			v = v*(t-ts[j]) + c[j]
@@ -81,35 +68,45 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 }
 
 // TestStencilMatchesReference checks the fixed-size kernel against the
-// reference divided differences and predictor for 2 to MaxStencil points,
-// and the slice fallback for MaxStencil+1.
+// slice divided differences and the old predictor loop for 2 to MaxStencil
+// points.
 func TestStencilMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const nUnk = 257
-	for n := 2; n <= MaxStencil+1; n++ {
+	for n := 2; n <= MaxStencil; n++ {
 		ts := unevenTimes(n)
 		hist := randomHistory(rng, n, nUnk)
-		if n <= MaxStencil {
-			var st Stencil
-			st.Set(ts)
-			ys := make([]float64, n)
-			want := make([]float64, n)
-			for i := 0; i < nUnk; i++ {
-				var c [MaxStencil]float64
-				for j := 0; j < n; j++ {
-					c[j] = hist[j][i]
-					ys[j] = hist[j][i]
-				}
-				st.Divide(&c)
-				refDividedDifferences(ts, ys, want)
-				sameBits(t, "divided differences", c[:n], want)
+		var st Stencil
+		st.Set(ts)
+		ys := make([]float64, n)
+		want := make([]float64, n)
+		for i := 0; i < nUnk; i++ {
+			var c [MaxStencil]float64
+			for j := 0; j < n; j++ {
+				c[j] = hist[j][i]
+				ys[j] = hist[j][i]
 			}
+			st.Divide(&c)
+			DividedDifferencesInto(ts, ys, want)
+			sameBits(t, "divided differences", c[:n], want)
 		}
 		tNew := ts[n-1] + 2.3e-9
 		got := make([]float64, nUnk)
-		want := make([]float64, nUnk)
-		PredictVectorAtWith(ts, hist, tNew, got, nil, nil)
-		refPredictVector(ts, hist, tNew, want)
-		sameBits(t, "prediction", got, want)
+		wantP := make([]float64, nUnk)
+		PredictVectorAt(ts, hist, tNew, got)
+		refPredictVector(ts, hist, tNew, wantP)
+		sameBits(t, "prediction", got, wantP)
 	}
+}
+
+// TestStencilRejectsLongStencil checks that more than MaxStencil sample
+// times panic instead of being differenced partially.
+func TestStencilRejectsLongStencil(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Set accepted more than MaxStencil times")
+		}
+	}()
+	var st Stencil
+	st.Set(unevenTimes(MaxStencil + 1))
 }

@@ -469,10 +469,12 @@ func NewSolver(m *Matrix, o Ordering) *Solver {
 
 // Factorize (re)factorizes the current values of the matrix, preferring the
 // numeric-only refactorization path. Values bit-for-bit equal to the ones a
-// Refactor turned into the current LU keep that LU (LastReused). With
+// Refactor turned into the current LU keep that LU (LastReused): the LU is
+// exact, so such a call is never a bypass, whatever BypassTol says. With
 // BypassTol > 0 and values within tolerance of the ones that produced the
 // current factorization, the call is a no-op that keeps the previous LU
-// (LastBypassed reports this).
+// (LastBypassed reports this). After a failed factorization the next call
+// pivots afresh.
 func (s *Solver) Factorize() error {
 	return s.factorize(s.BypassTol)
 }

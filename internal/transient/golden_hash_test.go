@@ -73,3 +73,54 @@ func TestSerialWaveformGoldenHashes(t *testing.T) {
 		})
 	}
 }
+
+// goldenBypassRuns pins two runs with factorization bypass and device bypass
+// both on, where a Newton iteration can meet an exactly reused LU next to a
+// load with bypassed device evaluations. An exact reuse is not a stale LU,
+// so such an iteration takes the in-place certification path instead of
+// forcing one more full iteration, as a bypassed factorization would: the
+// waveforms match runs that counted the reuse as a bypass, the Newton
+// iteration counts are lower (inv50 4496, ecl8 4226 before exact reuse).
+var goldenBypassRuns = []struct {
+	name  string
+	hash  string
+	iters int
+}{
+	{"inv50", "47e53e6dd25696fb", 4495},
+	{"ecl8", "b645039bc2315e33", 4223},
+}
+
+// TestBypassWaveformGoldenHashes requires the bypassing runs to keep their
+// pinned waveform hash and Newton iteration count (amd64 only, as above).
+func TestBypassWaveformGoldenHashes(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden hashes are pinned on amd64; GOARCH=%s may fuse multiply-adds", runtime.GOARCH)
+	}
+	byName := map[string]circuits.Benchmark{}
+	for _, b := range circuits.Suite() {
+		byName[b.Name] = b
+	}
+	for _, g := range goldenBypassRuns {
+		t.Run(g.name, func(t *testing.T) {
+			b := byName[g.name]
+			sys, err := b.Make().Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := transient.Run(sys, transient.Options{
+				TStop:           b.TStop,
+				BypassTol:       1e-3,
+				DeviceBypassTol: transient.DefaultDeviceBypassTol,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := waveHash(res); got != g.hash {
+				t.Errorf("waveform hash %s, pinned %s", got, g.hash)
+			}
+			if res.Stats.NRIters != g.iters {
+				t.Errorf("%d Newton iterations, pinned %d", res.Stats.NRIters, g.iters)
+			}
+		})
+	}
+}

@@ -304,13 +304,11 @@ type PointSolver struct {
 	// nothing. tailBuf/predTs/predXs serve the polynomial predictor (at
 	// most three points, which num's fixed-size kernel runs without
 	// scratch); warmBuf is WarmStart's returned iterate (consumed by the
-	// matching ResumeAt before the next WarmStart on this solver); LTE holds
-	// the divided-difference scratch of the engines' acceptance checks.
+	// matching ResumeAt before the next WarmStart on this solver).
 	tailBuf []*integrate.Point
 	predTs  []float64
 	predXs  [][]float64
 	warmBuf []float64
-	LTE     integrate.LTEScratch
 
 	// ptPool recycles Point buffers (X/Q/Qdot) through takePoint/PutPoint.
 	// predRing backs PredictPoint's speculative full-point predictions: a
@@ -372,7 +370,7 @@ func (ps *PointSolver) predict(hist *integrate.History, t float64, dst []float64
 		ts[i] = p.T
 		xs[i] = p.X
 	}
-	num.PredictVectorAtWith(ts, xs, t, dst, nil, nil)
+	num.PredictVectorAt(ts, xs, t, dst)
 }
 
 // takePoint pops a recycled point (or allocates one) with X/Q/Qdot buffers
@@ -439,9 +437,9 @@ func (ps *PointSolver) PredictPoint(hist *integrate.History, t float64) *integra
 		qs[i] = p.Q
 		qds[i] = p.Qdot
 	}
-	num.PredictVectorAtWith(ts, xs, t, pt.X, nil, nil)
-	num.PredictVectorAtWith(ts, qs, t, pt.Q, nil, nil)
-	num.PredictVectorAtWith(ts, qds, t, pt.Qdot, nil, nil)
+	num.PredictVectorAt(ts, xs, t, pt.X)
+	num.PredictVectorAt(ts, qs, t, pt.Q)
+	num.PredictVectorAt(ts, qds, t, pt.Qdot)
 	return pt
 }
 
@@ -982,13 +980,13 @@ func Run(sys *circuit.System, opts Options) (result *Result, runErr error) {
 			lteTail = append(hist.AppendTail(lteTail[:0], co.Order+1), pt)
 			if tr.Active() {
 				t0 := time.Now()
-				norm = ctrl.CheckLTEWith(ps.Method, co.Order, lteTail, co.H0, co.H1, &ps.LTE)
+				norm = ctrl.CheckLTE(ps.Method, co.Order, lteTail, co.H0, co.H1)
 				tr.Emit(trace.Event{
 					Kind: trace.KindPhase, Phase: trace.PhaseLTE, T: pt.T, Norm: norm,
 					Worker: ps.WS.Worker, Dur: time.Since(t0).Nanoseconds(),
 				})
 			} else {
-				norm = ctrl.CheckLTEWith(ps.Method, co.Order, lteTail, co.H0, co.H1, &ps.LTE)
+				norm = ctrl.CheckLTE(ps.Method, co.Order, lteTail, co.H0, co.H1)
 			}
 			if norm > 1 && co.H0 > ctrl.HMin*1.01 && !afterBreak {
 				ps.Stats.LTERejects++

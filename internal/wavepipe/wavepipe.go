@@ -392,7 +392,6 @@ type engine struct {
 	// per-stage bookkeeping allocation-free.
 	ltePts  []*integrate.Point
 	tailBuf []*integrate.Point
-	lteScr  integrate.LTEScratch
 }
 
 // t returns the current simulation time.
@@ -490,14 +489,14 @@ func (e *engine) lteNormAgainst(hist *integrate.History, res pointResult) float6
 	e.ltePts = append(e.ltePts, res.pt)
 	if e.tr.Active() {
 		t0 := time.Now()
-		norm := e.ctrl.CheckLTEWith(e.base.Method, res.co.Order, e.ltePts, res.co.H0, res.co.H1, &e.lteScr)
+		norm := e.ctrl.CheckLTE(e.base.Method, res.co.Order, e.ltePts, res.co.H0, res.co.H1)
 		e.tr.Emit(trace.Event{
 			Kind: trace.KindPhase, Phase: trace.PhaseLTE, T: res.pt.T, Norm: norm,
 			Worker: -1, Stage: int32(e.stages), Dur: time.Since(t0).Nanoseconds(),
 		})
 		return norm
 	}
-	return e.ctrl.CheckLTEWith(e.base.Method, res.co.Order, e.ltePts, res.co.H0, res.co.H1, &e.lteScr)
+	return e.ctrl.CheckLTE(e.base.Method, res.co.Order, e.ltePts, res.co.H0, res.co.H1)
 }
 
 // accept publishes a point into the history and the waveform set. Any
